@@ -10,7 +10,7 @@ buffer capacity (8/16/32/64 ops) on a general benchmark.
 from repro.compiler import compile_module
 from repro.compression.schemes import BaselineScheme, FullOpHuffmanScheme
 from repro.core.sweep import run_sweep
-from repro.emulator import run_image
+from repro.emulator import emulate
 from repro.fetch.config import FetchConfig
 from repro.fetch.engine import simulate_fetch
 from repro.programs.kernels import KERNELS
@@ -22,7 +22,7 @@ def _kernel_rows():
     for name, (build, reference) in sorted(KERNELS.items()):
         module = build(8)
         prog = compile_module(module)
-        result = run_image(prog.image, module.globals)
+        result = emulate(prog.image, module.globals)
         assert result.machine.load_word(
             module.globals["result"].address
         ) == reference(8)

@@ -17,7 +17,7 @@ correctness").  Two results:
 from repro.compiler import ModuleBuilder, compile_module
 from repro.compression.schemes import BaselineScheme
 from repro.core.study import study_for
-from repro.emulator import run_image
+from repro.emulator import emulate
 from repro.fetch.config import FetchConfig
 from repro.fetch.engine import simulate_fetch
 from repro.fetch.superblock import (
@@ -90,7 +90,7 @@ def _fragmented_rows():
     module = _fragmented_module()
     prog = compile_module(module, opt=False)  # keep the fragments
     image = prog.image
-    result = run_image(image, module.globals)
+    result = emulate(image, module.globals)
     trace = result.block_trace
     merged, unit_of_block = merge_fallthrough_chains(image)
     unit_trace = transform_trace(trace, image, unit_of_block)

@@ -10,7 +10,7 @@ import pytest
 from repro.compiler import compile_module
 from repro.compression.schemes import FullOpHuffmanScheme
 from repro.core.study import study_for
-from repro.emulator import run_image
+from repro.emulator import emulate
 from repro.fetch.config import FetchConfig
 from repro.fetch.engine import simulate_fetch
 from repro.programs.suite import SUITE
@@ -31,7 +31,7 @@ def test_emulator_throughput(benchmark):
     module = spec.build(1)
     prog = compile_module(module)
 
-    result = benchmark(lambda: run_image(prog.image, module.globals))
+    result = benchmark(lambda: emulate(prog.image, module.globals))
     assert result.dynamic_ops > 0
 
 

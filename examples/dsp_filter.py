@@ -13,7 +13,7 @@ Run:  python examples/dsp_filter.py
 
 from repro.compiler import compile_module
 from repro.compression.schemes import BaselineScheme, FullOpHuffmanScheme
-from repro.emulator import run_image
+from repro.emulator import emulate
 from repro.fetch.config import FetchConfig
 from repro.fetch.engine import simulate_fetch
 from repro.programs.kernels import KERNELS
@@ -25,7 +25,7 @@ def main() -> None:
     for name, (build, reference) in sorted(KERNELS.items()):
         module = build(8)
         program = compile_module(module)
-        result = run_image(program.image, module.globals)
+        result = emulate(program.image, module.globals)
         got = result.machine.load_word(
             module.globals["result"].address
         )

@@ -21,7 +21,7 @@ from repro.compression import (
     StreamHuffmanScheme,
     scheme_decoder_cost,
 )
-from repro.emulator import run_image
+from repro.emulator import emulate
 from repro.tailored import TailoredScheme
 from repro.utils.tables import format_table
 
@@ -71,7 +71,7 @@ def main():
         f"({image.baseline_code_bytes} bytes of 40-bit TEPIC code)"
     )
 
-    result = run_image(image, module.globals)
+    result = emulate(image, module.globals)
     value = result.machine.load_word(module.globals["result"].address)
     expected = sum(i * i % 97 for i in range(200))
     status = "OK" if value == expected else "WRONG"

@@ -17,9 +17,9 @@ may or may not reach the cache, so its cache transfer is the join of
 "accessed" and "untouched" — sound without tracking the buffer's
 op-count capacity.
 
-:func:`cycle_bounds` combines the classification with the kernel's own
-per-block cost columns (:func:`~repro.fetch.kernel.penalty_pair`,
-:func:`~repro.fetch.kernel.block_span_pairs` — queried, not
+:func:`cycle_bounds` combines the classification with the fetch engine's
+own per-block cost columns (:func:`~repro.fetch.sweep.penalty_pair`,
+:func:`~repro.fetch.sweep.block_span_pairs` — queried, not
 re-derived, so the bounds can never drift from Table 1) into per-fetch
 feasible-outcome sets, yielding ``lower <= simulated <= upper`` for any
 trace with the given per-block visit counts.  The ``static`` check
@@ -216,7 +216,7 @@ class FetchClassification:
 def _l0_possible(compressed, config: FetchConfig) -> List[bool]:
     """Can each block's fetch be served by the L0 buffer?
 
-    Mirrors the kernel: the buffer exists for compressed/hybrid, serves
+    Mirrors the fetch engine: the buffer exists for compressed/hybrid, serves
     Huffman-tagged blocks, and never holds a block wider than its
     capacity (an oversized block is probed but can never be resident).
     """
@@ -248,7 +248,7 @@ def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
     before the block's own access), matching the simulator's
     probe-then-install order.
     """
-    from repro.fetch.kernel import block_span_pairs
+    from repro.fetch.sweep import block_span_pairs
 
     image = compressed.image
     cfg = interprocedural_cfg(image)
@@ -361,7 +361,7 @@ def cycle_bounds(
     larger of guaranteed always-miss fetches and compulsory first
     touches (one per distinct fetched block).
     """
-    from repro.fetch.kernel import block_span_pairs, penalty_pair
+    from repro.fetch.sweep import block_span_pairs, penalty_pair
 
     image = compressed.image
     nblocks = len(image)

@@ -1,4 +1,8 @@
-"""Continuous kernel-vs-reference benchmarks (``repro bench``).
+"""Continuous fast-path-vs-reference benchmarks (``repro bench``).
+
+Each benchmark times one production fast path (the harness calls it the
+*kernel* side) against the reference oracle it replaces, after checking
+that both produce identical outputs.
 
 See :mod:`repro.bench.harness` for the differential timing harness and
 :mod:`repro.bench.suite` for the named workloads.  The checked-in

@@ -8,7 +8,7 @@ Examples::
     python -m repro run fig13 --jobs 8          # parallel prewarm
     python -m repro run fig5 --json             # machine-readable rows
     python -m repro suite
-    python -m repro bench --quick             # kernel-vs-reference timings
+    python -m repro bench --quick             # fast path vs oracle timings
     python -m repro bench fetch_replay_base --repeats 5
     python -m repro bench emulate_trace_micro emulate_trace_macro \
         --output BENCH_emulate.json           # the checked-in emulator report
@@ -52,7 +52,6 @@ from repro.core.study import study_for
 from repro.errors import ConfigurationError
 from repro.programs.suite import BENCHMARK_NAMES, SUITE
 from repro.runtime.config import environment_problems
-from repro.utils.kernelmode import kernel_env_problem
 from repro.utils.tables import format_table
 
 
@@ -67,7 +66,7 @@ def _validate_invocation(args) -> None:
     Raises :class:`ConfigurationError`; ``main`` maps it to exit code 2.
     The library layer merely warns and defaults on the same problems —
     an interactive invocation should fail loudly instead of silently
-    running with the wrong parallelism or the wrong simulation path.
+    running with the wrong parallelism or cache settings.
     """
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
@@ -105,9 +104,6 @@ def _validate_invocation(args) -> None:
                 f"--hotness must lie in (0, 1], got {value:g}"
             )
     problems = environment_problems()
-    kernel_problem = kernel_env_problem()
-    if kernel_problem:
-        problems = problems + [kernel_problem]
     from repro.analysis import analysis_env_problem
 
     gate_problem = analysis_env_problem()

@@ -12,8 +12,8 @@ image:
   built from the cold blocks alone, so what the hot set gives up in
   size the sharper cold model buys back.  The resulting
   :class:`HybridImage` carries per-block scheme tags that the ATT
-  stores (one bit per entry) and the fetch engine / kernel / sweep
-  columns honor for decompression-penalty and L0-buffer accounting.
+  stores (one bit per entry) and the fetch engine and its reference
+  honor for decompression-penalty and L0-buffer accounting.
 * :class:`ContextHuffmanScheme` — a fifth scheme family: full-op
   symbols whose codebook is conditioned on the class of the previous
   symbol (Hirvola's previous-symbol context modeling).  The class is
@@ -43,6 +43,7 @@ from repro.compression.schemes import (
 from repro.errors import CompressionError, ConfigurationError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import ProgramImage
+from repro.utils.bitstream import BitWriter
 
 #: Per-block tag values: the fetch-penalty family the block is accounted
 #: under.  Hot blocks are tailored-encoded (fixed width, no dictionary);
@@ -176,7 +177,6 @@ class HybridScheme(CompressionScheme):
     def compress(self, image: ProgramImage) -> HybridImage:
         from repro.tailored.analysis import analyze_image
         from repro.tailored.encoding import TailoredScheme
-        from repro.utils.bitstream import new_writer
 
         if self._profile is None:
             raise ConfigurationError(
@@ -214,7 +214,7 @@ class HybridScheme(CompressionScheme):
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
+            writer = BitWriter()
             if tags[block.block_id] == HOT_TAG:
                 for op in block.ops:
                     tailored._encode_op(spec, op, writer)
@@ -291,8 +291,6 @@ class ContextHuffmanScheme(CompressionScheme):
         super().__init__(max_code_length)
 
     def compress(self, image: ProgramImage) -> ContextImage:
-        from repro.utils.bitstream import new_writer
-
         histograms: dict[int, Counter] = {}
         for block in image:
             ctx = BLOCK_START_CONTEXT
@@ -307,7 +305,7 @@ class ContextHuffmanScheme(CompressionScheme):
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
+            writer = BitWriter()
             ctx = BLOCK_START_CONTEXT
             for op in block.ops:
                 word = op.encode()

@@ -28,7 +28,7 @@ from repro.compression.schemes import CompressedImage, CompressionScheme
 from repro.errors import CompressionError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import ProgramImage
-from repro.utils.bitstream import BitReader, BitWriter, new_writer
+from repro.utils.bitstream import BitReader, BitWriter
 
 #: Sequence lengths considered for dictionary entries.
 MIN_SEQ = 2
@@ -108,7 +108,7 @@ class DictionaryScheme(CompressionScheme):
         bit_lengths = []
         for block in image:
             words = [op.encode() for op in block.ops]
-            writer = new_writer()
+            writer = BitWriter()
             i = 0
             while i < len(words):
                 match = None

@@ -23,6 +23,7 @@ from repro.compression.huffman import HuffmanCode, HuffmanDecoder
 from repro.errors import CompressionError
 from repro.isa.formats import OP_BITS
 from repro.isa.image import OP_BYTES, ProgramImage
+from repro.utils.bitstream import BitWriter
 
 #: Hardware-imposed ceiling on Huffman code length (Section 2.2: codes
 #: "incompatible with IFetch hardware" are avoided by bounding).
@@ -103,8 +104,8 @@ class CompressedImage:
 
         When present, entry ``i`` names the penalty family
         (``"tailored"`` or ``"compressed"``) block ``i`` decodes and is
-        accounted under; the fetch engine, kernel, and sweep columns all
-        honor it.
+        accounted under; the reference fetch model and the columnar
+        engine both honor it.
         """
         return None
 
@@ -222,12 +223,10 @@ class ByteHuffmanScheme(CompressionScheme):
         for block in image:
             histogram.update(block.encode_baseline())
         code = self._build_code(histogram)
-        from repro.utils.bitstream import new_writer
-
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
+            writer = BitWriter()
             for byte in block.encode_baseline():
                 code.encode_symbol(byte, writer)
             bit_lengths.append(writer.bit_length)
@@ -276,12 +275,10 @@ class StreamHuffmanScheme(CompressionScheme):
             for i, symbol in enumerate(self.config.split(op.encode())):
                 histograms[i][symbol] += 1
         codes = [self._build_code(h) for h in histograms]
-        from repro.utils.bitstream import new_writer
-
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
+            writer = BitWriter()
             for op in block.ops:
                 for i, symbol in enumerate(
                     self.config.split(op.encode())
@@ -332,12 +329,10 @@ class FullOpHuffmanScheme(CompressionScheme):
             op.encode() for op in image.all_operations()
         )
         code = self._build_code(histogram)
-        from repro.utils.bitstream import new_writer
-
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
+            writer = BitWriter()
             for op in block.ops:
                 code.encode_symbol(op.encode(), writer)
             bit_lengths.append(writer.bit_length)

@@ -20,7 +20,6 @@ what the compute closures return.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,6 +39,7 @@ from repro.errors import ConfigurationError
 from repro.fetch.config import FetchConfig
 from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
 from repro.programs.suite import SUITE, compile_benchmark
+from repro.runtime.config import env_int
 from repro.runtime.tasks import fetch_image_key, normalize_fetch_scheme
 
 #: Scheme presentation order in reports (mirrors Figure 5's legend).
@@ -102,8 +102,6 @@ class ProgramStudy:
 
     @property
     def run(self) -> RunResult:
-        # emulate() dispatches on REPRO_KERNEL; both paths are
-        # bit-identical, so the cache key deliberately ignores the mode.
         if self._run is None:
             self._run = self._stage(
                 "trace",
@@ -235,9 +233,9 @@ class ProgramStudy:
 #: Capacity of the process-level study cache.  Bounded so long sweeps
 #: (cache-size studies, ablations over many scales) cannot grow without
 #: limit; evicted studies reload cheaply from the artifact store.
-STUDY_CACHE_CAPACITY = max(
-    1, int(os.environ.get("REPRO_STUDY_CACHE_CAP", "16"))
-)
+#: ``REPRO_STUDY_CACHE_CAP`` overrides it; a malformed value warns and
+#: keeps the default here, and the CLI rejects it with exit code 2.
+STUDY_CACHE_CAPACITY = env_int("REPRO_STUDY_CACHE_CAP", 16)
 
 _studies: "OrderedDict[tuple[str, Optional[int]], ProgramStudy]" = (
     OrderedDict()

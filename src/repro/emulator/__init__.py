@@ -8,11 +8,11 @@ trace annotations ("these annotations are not included when determining
 instruction addresses or performing compression" — here the trace is a
 side channel by construction).
 
-Two executions of the same machine exist: the interpretive reference
-(:func:`run_image`) and the threaded-code kernel
-(:func:`~repro.emulator.kernel.run_image_kernel`); :func:`emulate`
-dispatches between them on the ``REPRO_KERNEL`` switch and is what the
-study pipeline calls.
+:func:`emulate` is the production entry point: it runs the threaded-code
+kernel (:func:`~repro.emulator.kernel.run_image_kernel`) and is what the
+study pipeline calls.  The interpretive :func:`run_image` is the
+behavioral definition of the machine, kept as the oracle that checks,
+tests and benches compare the kernel against.
 """
 
 from repro.emulator.machine import (

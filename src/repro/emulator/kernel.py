@@ -1,4 +1,4 @@
-"""Threaded-code emulation kernel (the default ``emulate`` path).
+"""Threaded-code emulation kernel (the engine behind ``emulate``).
 
 :func:`repro.emulator.machine.run_image` is the behavioral definition of
 the TEPIC emulator: a per-operation interpretive loop that re-decodes

@@ -34,7 +34,6 @@ from repro.fetch.engine import (
     simulate_fetch,
     simulate_fetch_reference,
 )
-from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
 from repro.fetch.l0buffer import L0Buffer
 from repro.fetch.sweep import (
     config_from_json,
@@ -60,9 +59,7 @@ __all__ = [
     "att_overhead_percent",
     "config_from_json",
     "config_to_json",
-    "kernel_supported",
     "simulate_fetch",
-    "simulate_fetch_kernel",
     "simulate_fetch_reference",
     "simulate_fetch_sweep",
     "simulate_fetch_sweep_multi",

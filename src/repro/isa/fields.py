@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.errors import DecodingError, EncodingError
-from repro.utils.bitstream import BitWriter, new_writer
+from repro.utils.bitstream import BitWriter
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Format:
             raise EncodingError(
                 f"format {self.name!r}: unknown fields {sorted(unknown)}"
             )
-        writer = new_writer()
+        writer = BitWriter()
         for f in self.fields:
             value = values.get(f.name, 0)
             if not 0 <= value <= f.max_value:

@@ -16,6 +16,9 @@ Environment variables:
     LRU size cap for the store (default 512 MiB).
 ``REPRO_JOBS``
     Default ``--jobs`` for the scheduler (default 1 = in-process).
+``REPRO_STUDY_CACHE_CAP``
+    Capacity of the in-process study LRU (default 16; read by
+    :mod:`repro.core.study` at import through :func:`env_int`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ _FALSEY = {"0", "false", "off", "no"}
 _TRUTHY = {"1", "true", "on", "yes", ""}
 
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+
+#: Integer ``REPRO_*`` knobs and their smallest legal value.
+_INT_MINIMUMS = {
+    "REPRO_CACHE_MAX_BYTES": 0,
+    "REPRO_JOBS": 1,
+    "REPRO_STUDY_CACHE_CAP": 1,
+}
 
 _warned: set = set()
 
@@ -69,18 +79,40 @@ def environment_problems(environ=None) -> List[str]:
                 f"REPRO_CACHE={cache!r} is not a recognised switch "
                 f"(expected one of: {', '.join(choices)})"
             )
-    for name, minimum in (("REPRO_CACHE_MAX_BYTES", 0), ("REPRO_JOBS", 1)):
+    for name, minimum in _INT_MINIMUMS.items():
         raw = env.get(name)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            problems.append(f"{name}={raw!r} is not an integer")
-            continue
-        if value < minimum:
-            problems.append(f"{name}={raw!r} must be >= {minimum}")
+        problem = None if raw is None else _int_problem(name, raw, minimum)
+        if problem:
+            problems.append(problem)
     return problems
+
+
+def _int_problem(name: str, raw: str, minimum: int) -> Optional[str]:
+    try:
+        value = int(raw)
+    except ValueError:
+        return f"{name}={raw!r} is not an integer"
+    if value < minimum:
+        return f"{name}={raw!r} must be >= {minimum}"
+    return None
+
+
+def env_int(name: str, default: int, environ=None) -> int:
+    """The integer knob ``name``, or ``default`` when unset or malformed.
+
+    A malformed value warns once (:class:`RuntimeWarning`), the same
+    message :func:`config_from_env` gives; the CLI rejects it outright
+    through :func:`environment_problems`.
+    """
+    env = os.environ if environ is None else environ
+    raw = env.get(name)
+    if raw is None:
+        return default
+    problem = _int_problem(name, raw, _INT_MINIMUMS[name])
+    if problem:
+        _warn_once(f"{problem}; using the default")
+        return default
+    return int(raw)
 
 
 def config_from_env(environ=None) -> RuntimeConfig:
@@ -98,16 +130,8 @@ def config_from_env(environ=None) -> RuntimeConfig:
         env.get("REPRO_CACHE_DIR")
         or pathlib.Path.home() / ".cache" / "repro"
     )
-    try:
-        max_bytes = int(env.get("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES))
-        if max_bytes < 0:
-            max_bytes = DEFAULT_MAX_BYTES
-    except ValueError:
-        max_bytes = DEFAULT_MAX_BYTES
-    try:
-        jobs = max(1, int(env.get("REPRO_JOBS", "1")))
-    except ValueError:
-        jobs = 1
+    max_bytes = env_int("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES, env)
+    jobs = env_int("REPRO_JOBS", 1, env)
     return RuntimeConfig(
         enabled=enabled, cache_dir=cache_dir, max_bytes=max_bytes, jobs=jobs
     )

@@ -19,7 +19,7 @@ from repro.isa.formats import FORMATS
 from repro.isa.image import ProgramImage
 from repro.isa.operation import Operation
 from repro.tailored.analysis import TailoredSpec, analyze_image
-from repro.utils.bitstream import BitReader, BitWriter, new_writer
+from repro.utils.bitstream import BitReader, BitWriter
 
 
 class TailoredImage(CompressedImage):
@@ -44,7 +44,7 @@ class TailoredScheme(CompressionScheme):
         payloads = []
         bit_lengths = []
         for block in image:
-            writer = new_writer()
+            writer = BitWriter()
             for op in block.ops:
                 self._encode_op(spec, op, writer)
             bit_lengths.append(writer.bit_length)

@@ -1,12 +1,6 @@
 """Shared low-level utilities: bit streams, tables, statistics."""
 
-from repro.utils.bitstream import (
-    BitReader,
-    BitWriter,
-    ReferenceBitWriter,
-    new_writer,
-)
-from repro.utils.kernelmode import kernel_enabled
+from repro.utils.bitstream import BitReader, BitWriter, ReferenceBitWriter
 from repro.utils.stats import (
     geometric_mean,
     mean,
@@ -22,8 +16,6 @@ __all__ = [
     "BitWriter",
     "ReferenceBitWriter",
     "format_table",
-    "kernel_enabled",
-    "new_writer",
     "geometric_mean",
     "mean",
     "median",

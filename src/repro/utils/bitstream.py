@@ -15,13 +15,11 @@ stream of n bits costs O(n) total.  The original big-int accumulator — O(n²)
 in stream bits because every ``to_int`` re-shifts the whole prefix — is
 retained as :class:`ReferenceBitWriter`; the differential tests prove the two
 produce byte-identical streams, and ``repro bench bitstream_roundtrip``
-measures the gap.  :func:`new_writer` picks the implementation from
-``REPRO_KERNEL``.
+measures the gap.  Production code packs with :class:`BitWriter`; the
+reference is an oracle for tests and benches only.
 """
 
 from __future__ import annotations
-
-from repro.utils.kernelmode import kernel_enabled
 
 
 class BitWriter:
@@ -183,17 +181,6 @@ class ReferenceBitWriter:
         for value, width in self._chunks:
             out.append(format(value, f"0{width}b") if width else "")
         return "".join(out)
-
-
-def new_writer() -> BitWriter:
-    """A bit writer on the active path (``REPRO_KERNEL=ref`` → reference).
-
-    The return type is duck-typed: both writers expose the same API, and
-    :class:`BitReader` consumes either.
-    """
-    if kernel_enabled():
-        return BitWriter()
-    return ReferenceBitWriter()  # type: ignore[return-value]
 
 
 class BitReader:

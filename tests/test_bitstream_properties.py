@@ -85,7 +85,6 @@ def test_canonical_decoder_matches_reference(frequencies, data):
     payload, bits = writer.to_bytes(), writer.bit_length
 
     decoder = HuffmanDecoder(code)
-    decoder._use_kernel = True  # exercise the canonical table directly
     kernel_reader = BitReader(payload, bits)
     reference_reader = BitReader(payload, bits)
     assert [

@@ -174,20 +174,6 @@ class TestInvocationValidation:
         assert main(["suite", "--jobs", "-3"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_malformed_repro_kernel_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "refrence")
-        assert main(["list"]) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_KERNEL" in err and "refrence" in err
-
-    def test_valid_repro_kernel_values_accepted(
-        self, capsys, monkeypatch
-    ):
-        for value in ("ref", "reference", "kernel", "0", "1"):
-            monkeypatch.setenv("REPRO_KERNEL", value)
-            assert main(["list"]) == 0
-            capsys.readouterr()
-
     def test_malformed_repro_jobs_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "banana")
         assert main(["list"]) == 2
@@ -219,19 +205,36 @@ class TestInvocationValidation:
             "REPRO_JOBS" in str(w.message) for w in caught
         )
 
-    def test_kernel_enabled_warns_on_unknown_value(self, monkeypatch):
+    def test_study_cache_cap_library_path_warns_and_defaults(self):
         import warnings
 
-        from repro.utils import kernelmode
+        from repro.runtime.config import env_int
 
-        monkeypatch.setenv("REPRO_KERNEL", "turbo-mode")
-        monkeypatch.setattr(kernelmode, "_warned_values", set())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert kernelmode.kernel_enabled() is True  # defaults on
+            capacity = env_int(
+                "REPRO_STUDY_CACHE_CAP", 16,
+                {"REPRO_STUDY_CACHE_CAP": "plenty"},
+            )
+        assert capacity == 16
         assert any(
-            "REPRO_KERNEL" in str(w.message) for w in caught
+            "REPRO_STUDY_CACHE_CAP" in str(w.message) for w in caught
         )
+
+    def test_non_integer_study_cache_cap_rejected(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STUDY_CACHE_CAP", "abc")
+        assert main(["cache", "stats"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "REPRO_STUDY_CACHE_CAP" in err and "abc" in err
+
+    def test_zero_study_cache_cap_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STUDY_CACHE_CAP", "0")
+        assert main(["list"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_STUDY_CACHE_CAP" in err and ">= 1" in err
 
 
 class TestCheckCommand:

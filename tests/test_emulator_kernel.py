@@ -86,21 +86,10 @@ def test_runaway_aborts_at_identical_point(budget):
 
 # --------------------------------------------------------- dispatcher
 def test_emulate_dispatches_to_kernel_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     sentinel = object()
     monkeypatch.setattr(
         "repro.emulator.kernel.run_image_kernel",
         lambda *a, **k: sentinel,
-    )
-    compiled = compile_benchmark("compress", _SCALE)
-    assert emulate(compiled.image, compiled.module.globals) is sentinel
-
-
-def test_emulate_ref_mode_uses_reference(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    sentinel = object()
-    monkeypatch.setattr(
-        "repro.emulator.machine.run_image", lambda *a, **k: sentinel
     )
     compiled = compile_benchmark("compress", _SCALE)
     assert emulate(compiled.image, compiled.module.globals) is sentinel

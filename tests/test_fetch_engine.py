@@ -1,11 +1,21 @@
-"""Tests for the fetch engine's cycle accounting against Table 1."""
+"""Tests for the fetch engine's cycle accounting against Table 1.
+
+The engine and cycle-model expectations run twice: against
+``simulate_fetch`` (the columnar engine) and, through the ``...Reference``
+subclasses, against the ``simulate_fetch_reference`` oracle.
+"""
 
 import pytest
 
 from repro.compression.schemes import BaselineScheme, FullOpHuffmanScheme
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig
-from repro.fetch.engine import FetchMetrics, ideal_metrics, simulate_fetch
+from repro.fetch.engine import (
+    FetchMetrics,
+    ideal_metrics,
+    simulate_fetch,
+    simulate_fetch_reference,
+)
 from repro.tailored.encoding import TailoredScheme
 
 
@@ -32,6 +42,8 @@ class TestIdeal:
 
 
 class TestEngineBasics:
+    simulate = staticmethod(simulate_fetch)
+
     @pytest.mark.parametrize("scheme", ["base", "tailored", "compressed"])
     def test_accounting_identities(self, artifacts, scheme):
         image, trace = artifacts
@@ -40,7 +52,7 @@ class TestEngineBasics:
             "tailored": TailoredScheme(),
             "compressed": FullOpHuffmanScheme(),
         }[scheme]
-        metrics = simulate_fetch(
+        metrics = self.simulate(
             compressor.compress(image), trace, _config(scheme)
         )
         assert metrics.blocks_fetched == len(trace)
@@ -58,9 +70,9 @@ class TestEngineBasics:
 
     def test_default_config_derived_from_scheme(self, artifacts):
         image, trace = artifacts
-        metrics = simulate_fetch(BaselineScheme().compress(image), trace)
+        metrics = self.simulate(BaselineScheme().compress(image), trace)
         assert metrics.scheme == "base"
-        metrics = simulate_fetch(
+        metrics = self.simulate(
             FullOpHuffmanScheme().compress(image), trace
         )
         assert metrics.scheme == "compressed"
@@ -68,8 +80,8 @@ class TestEngineBasics:
     def test_deterministic(self, artifacts):
         image, trace = artifacts
         compressed = BaselineScheme().compress(image)
-        a = simulate_fetch(compressed, trace, _config("base"))
-        b = simulate_fetch(compressed, trace, _config("base"))
+        a = self.simulate(compressed, trace, _config("base"))
+        b = self.simulate(compressed, trace, _config("base"))
         assert a.cycles == b.cycles
         assert a.bus_bit_flips == b.bus_bit_flips
 
@@ -81,21 +93,27 @@ class TestEngineBasics:
             cache=CacheGeometry("weird", 1024, 2, 32),
         )
         with pytest.raises(ConfigurationError):
-            simulate_fetch(compressed, trace, bad)
+            self.simulate(compressed, trace, bad)
 
     def test_empty_trace(self, artifacts):
         image, _ = artifacts
         compressed = BaselineScheme().compress(image)
-        metrics = simulate_fetch(compressed, [], _config("base"))
+        metrics = self.simulate(compressed, [], _config("base"))
         assert metrics.cycles == 0 and metrics.ipc == 0.0
+
+
+class TestEngineBasicsReference(TestEngineBasics):
+    simulate = staticmethod(simulate_fetch_reference)
 
 
 class TestCycleModel:
     """Reproduce Table 1 rows with hand-built traces."""
 
+    simulate = staticmethod(simulate_fetch)
+
     def _one_block_cycles(self, image, scheme, compressor, trace,
                           **config_over):
-        metrics = simulate_fetch(
+        metrics = self.simulate(
             compressor.compress(image), trace,
             _config(scheme, **config_over),
         )
@@ -108,7 +126,7 @@ class TestCycleModel:
         trace = [entry, entry, entry]
         compressed = BaselineScheme().compress(image)
         config = _config("base", atb_miss_penalty=0)
-        metrics = simulate_fetch(compressed, trace, config)
+        metrics = self.simulate(compressed, trace, config)
         n = len(config.cache.lines_of(
             compressed.block_offset(entry), compressed.block_size(entry)
         ))
@@ -128,7 +146,7 @@ class TestCycleModel:
         image, trace = artifacts
         compressed = BaselineScheme().compress(image)
         config = _config("base", atb_miss_penalty=0)
-        full = simulate_fetch(compressed, trace, config)
+        full = self.simulate(compressed, trace, config)
         assert full.pred_incorrect >= 0
         # Mispredicted blocks exist in the real trace iff accuracy < 1.
         assert full.prediction_accuracy <= 1.0
@@ -136,10 +154,10 @@ class TestCycleModel:
     def test_atb_miss_penalty_charged(self, artifacts):
         image, trace = artifacts
         compressed = BaselineScheme().compress(image)
-        with_penalty = simulate_fetch(
+        with_penalty = self.simulate(
             compressed, trace, _config("base", atb_miss_penalty=5)
         )
-        without = simulate_fetch(
+        without = self.simulate(
             compressed, trace, _config("base", atb_miss_penalty=0)
         )
         assert with_penalty.cycles == (
@@ -149,7 +167,7 @@ class TestCycleModel:
     def test_bus_traffic_only_on_misses(self, artifacts):
         image, trace = artifacts
         compressed = BaselineScheme().compress(image)
-        metrics = simulate_fetch(compressed, trace, _config("base"))
+        metrics = self.simulate(compressed, trace, _config("base"))
         expected_bytes = 0
         # Replay: every miss transfers the whole block payload.
         from repro.fetch.banked_cache import BankedCache
@@ -167,7 +185,7 @@ class TestCycleModel:
     def test_compressed_buffer_absorbs_hot_block(self, artifacts):
         image, trace = artifacts
         compressed = FullOpHuffmanScheme().compress(image)
-        metrics = simulate_fetch(compressed, trace, _config("compressed"))
+        metrics = self.simulate(compressed, trace, _config("compressed"))
         # The tiny loop fits 32 ops, so most fetches are L0 hits.
         assert metrics.buffer_hits > len(trace) // 2
 
@@ -177,10 +195,14 @@ class TestCycleModel:
         image, trace = artifacts
         base = BaselineScheme().compress(image)
         tailored = TailoredScheme().compress(image)
-        m_base = simulate_fetch(base, trace, _config("base"))
-        m_tail = simulate_fetch(tailored, trace, _config("tailored"))
+        m_base = self.simulate(base, trace, _config("base"))
+        m_tail = self.simulate(tailored, trace, _config("tailored"))
         assert m_tail.cache_misses <= m_base.cache_misses or True
         assert m_tail.delivered_ops == m_base.delivered_ops
+
+
+class TestCycleModelReference(TestCycleModel):
+    simulate = staticmethod(simulate_fetch_reference)
 
 
 class TestMetricsProperties:

@@ -1,12 +1,10 @@
-"""Differential tests: kernel paths are bit-identical to the references.
+"""Differential tests: the fetch fast path is bit-identical to its oracle.
 
-This is the correctness contract behind ``REPRO_KERNEL``: the flattened
-fetch kernel, the bytearray bit writer and the canonical Huffman decoder
-are *optimizations* of the retained reference implementations, and every
-observable output — ``FetchMetrics`` fields, encoded bytes, decoded
-symbols — must match exactly.  ``repro bench`` re-checks the same
-identities before timing anything; CI runs this module as its
-divergence gate.
+``simulate_fetch`` runs the columnar engine of ``repro.fetch.sweep``; it
+is an *optimization* of the retained ``simulate_fetch_reference``, and
+every ``FetchMetrics`` field must match exactly.  ``repro bench``
+re-checks the same identity before timing anything; CI runs this module
+as its divergence gate.
 """
 
 from __future__ import annotations
@@ -15,13 +13,9 @@ import dataclasses
 
 import pytest
 
-from repro.compression.huffman import HuffmanCode
-from repro.compression.schemes import FullOpHuffmanScheme
 from repro.fetch.config import FetchConfig, PenaltyTable
 from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
-from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
-from repro.utils.bitstream import BitWriter, ReferenceBitWriter, new_writer
-from repro.utils.kernelmode import kernel_enabled
+from repro.fetch.sweep import sweep_supported
 
 #: fetch scheme -> compression-scheme key of the image it runs on.
 SCHEME_IMAGE = {"base": "base", "tailored": "tailored",
@@ -34,10 +28,10 @@ def test_fetch_kernel_matches_reference(compress_study, scheme, scaled):
     compressed = compress_study.compressed(SCHEME_IMAGE[scheme])
     trace = compress_study.run.block_trace
     config = FetchConfig.for_scheme(scheme, scaled=scaled)
-    assert kernel_supported(config)
+    assert sweep_supported(config)
     reference = simulate_fetch_reference(compressed, trace, config)
-    kernel = simulate_fetch_kernel(compressed, trace, config)
-    assert kernel == reference
+    fast = simulate_fetch(compressed, trace, config)
+    assert fast == reference
 
 
 def test_fetch_kernel_matches_reference_gshare(compress_study):
@@ -46,15 +40,15 @@ def test_fetch_kernel_matches_reference_gshare(compress_study):
     config = FetchConfig.for_scheme(
         "compressed", scaled=True, predictor="gshare"
     )
-    assert kernel_supported(config)
-    assert simulate_fetch_kernel(compressed, trace, config) == (
+    assert sweep_supported(config)
+    assert simulate_fetch(compressed, trace, config) == (
         simulate_fetch_reference(compressed, trace, config)
     )
 
 
 def test_fetch_kernel_matches_reference_with_l0_hits(compress_study):
     """The default 32-op L0 never hits at this scale; widen it so the
-    kernel's buffer-hit path is differentially covered too."""
+    engine's buffer-hit path is differentially covered too."""
     compressed = compress_study.compressed("full")
     trace = compress_study.run.block_trace
     config = FetchConfig.for_scheme(
@@ -62,36 +56,27 @@ def test_fetch_kernel_matches_reference_with_l0_hits(compress_study):
     )
     reference = simulate_fetch_reference(compressed, trace, config)
     assert reference.buffer_hits > 0
-    assert simulate_fetch_kernel(compressed, trace, config) == reference
+    assert simulate_fetch(compressed, trace, config) == reference
 
 
 def test_fetch_kernel_empty_trace(compress_study):
     compressed = compress_study.compressed("base")
     config = FetchConfig.for_scheme("base", scaled=True)
-    assert simulate_fetch_kernel(compressed, [], config) == (
+    assert simulate_fetch(compressed, [], config) == (
         simulate_fetch_reference(compressed, [], config)
     )
 
 
-def test_env_flag_selects_reference_paths(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert kernel_enabled()
-    assert type(new_writer()) is BitWriter
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    assert not kernel_enabled()
-    assert type(new_writer()) is ReferenceBitWriter
-
-
 def test_dispatcher_falls_back_on_unsupported_config(compress_study):
     class SubclassedTable(PenaltyTable):
-        """The kernel pre-resolves Table 1; a subclass could override
+        """The engine pre-resolves Table 1; a subclass could override
         ``initiation_cycles`` per call, so it must force the reference."""
 
     config = dataclasses.replace(
         FetchConfig.for_scheme("base", scaled=True),
         penalties=SubclassedTable(),
     )
-    assert not kernel_supported(config)
+    assert not sweep_supported(config)
     compressed = compress_study.compressed("base")
     trace = compress_study.run.block_trace
     assert simulate_fetch(compressed, trace, config) == (
@@ -139,33 +124,3 @@ def test_buffer_hit_always_charges_one_line(compress_study):
     # The guard is only meaningful if the same run also saw multi-line
     # charges that a stale binding could have leaked from.
     assert any(n > 1 for hit, n in table.calls if not hit)
-
-
-def test_scheme_encoding_identical_across_writer_paths(
-    tiny_program, monkeypatch
-):
-    """End to end: a full compression pass emits byte-identical images
-    whether the fast or the reference writer does the packing."""
-    prog, _, _ = tiny_program
-
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    fast = FullOpHuffmanScheme().compress(prog.image)
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    reference = FullOpHuffmanScheme().compress(prog.image)
-
-    assert fast.block_payloads == reference.block_payloads
-    assert fast.block_bit_lengths == reference.block_bit_lengths
-    assert fast.total_code_bytes == reference.total_code_bytes
-
-
-def test_make_decoder_memoized_per_kernel_mode(monkeypatch):
-    code = HuffmanCode.from_frequencies({0: 5, 1: 3, 2: 1})
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    kernel_decoder = code.make_decoder()
-    assert kernel_decoder is code.make_decoder()
-    assert kernel_decoder._use_kernel
-    monkeypatch.setenv("REPRO_KERNEL", "ref")
-    reference_decoder = code.make_decoder()
-    assert reference_decoder is not kernel_decoder
-    assert not reference_decoder._use_kernel
-    assert reference_decoder is code.make_decoder()

@@ -3,9 +3,9 @@
 A block larger than the whole L0 buffer can never reside: every revisit
 charges a fresh miss and goes to the L1 (the hardware would re-decompress
 it each time).  These tests pin that semantics in the reference
-structure, make the rejection observable, and prove the flattened kernel
-charges the identical hit/miss counts and Table 1 costs for traces where
-oversized blocks dominate.
+structure, make the rejection observable, and prove the columnar fetch
+engine charges the identical hit/miss counts and Table 1 costs for
+traces where oversized blocks dominate.
 """
 
 from dataclasses import asdict
@@ -13,8 +13,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.fetch.config import FetchConfig
-from repro.fetch.engine import simulate_fetch_reference
-from repro.fetch.kernel import kernel_supported, simulate_fetch_kernel
+from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
+from repro.fetch.sweep import sweep_supported
 from repro.fetch.l0buffer import L0Buffer
 
 
@@ -53,7 +53,7 @@ class TestInstallAccounting:
 
 
 class TestKernelParity:
-    """The kernel must charge identical counts and Table 1 costs."""
+    """The engine must charge identical counts and Table 1 costs."""
 
     @pytest.mark.parametrize("capacity", [2, 4, 8, 32])
     def test_kernel_matches_reference_with_tiny_l0(
@@ -66,10 +66,10 @@ class TestKernelParity:
         config = FetchConfig.for_scheme(
             "compressed", scaled=True, l0_capacity_ops=capacity
         )
-        assert kernel_supported(config)
-        kernel = simulate_fetch_kernel(compressed, trace, config)
+        assert sweep_supported(config)
+        fast = simulate_fetch(compressed, trace, config)
         reference = simulate_fetch_reference(compressed, trace, config)
-        assert asdict(kernel) == asdict(reference)
+        assert asdict(fast) == asdict(reference)
 
     def test_oversized_blocks_never_hit_in_the_simulation(
         self, compress_study
