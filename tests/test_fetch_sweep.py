@@ -2,8 +2,9 @@
 
 The contract under test: every element of
 ``simulate_fetch_sweep(compressed, trace, configs)`` is bit-identical
-to a sequential ``simulate_fetch(compressed, trace, config)`` call —
-including configurations the factored engine cannot model (a subclassed
+to ``simulate_fetch_reference(compressed, trace, config)`` — the
+readable oracle, not the engine itself (``simulate_fetch`` is a one-point
+sweep) — including configurations the factored engine cannot model (a subclassed
 penalty table), which must fall back per-config without poisoning the
 rest of the batch.  Hypothesis drives randomized grids over geometry,
 scheme, predictor, ATB shape, L0 capacity and bus width; the unit tests
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.sweep import expand_grid, run_sweep
 from repro.errors import ConfigurationError
 from repro.fetch.config import CacheGeometry, FetchConfig, PenaltyTable
-from repro.fetch.engine import simulate_fetch
+from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 from repro.fetch.sweep import (
     config_from_json,
     config_to_json,
@@ -41,7 +42,7 @@ GEOMETRIES = [
 
 class TracingPenaltyTable(PenaltyTable):
     """A subclass with stock behavior — unsupported *by type*, so the
-    engine must route configs carrying it through simulate_fetch."""
+    engine must route configs carrying it through the reference."""
 
 
 def _geometry(point):
@@ -105,7 +106,7 @@ def test_sweep_matches_sequential_on_random_grids(
     batch = simulate_fetch_sweep_multi(sweep_images, trace, grid)
     assert len(batch) == len(grid)
     for config, metrics in zip(grid, batch):
-        expected = simulate_fetch(
+        expected = simulate_fetch_reference(
             sweep_images[config.scheme], trace, config
         )
         assert metrics == expected
@@ -152,7 +153,7 @@ def test_unsupported_configs_fall_back_without_poisoning(
     assert not sweep_supported(grid[unsupported_at])
     batch = simulate_fetch_sweep_multi(sweep_images, trace, grid)
     for config, metrics in zip(grid, batch):
-        assert metrics == simulate_fetch(
+        assert metrics == simulate_fetch_reference(
             sweep_images[config.scheme], trace, config
         )
 
@@ -176,6 +177,9 @@ def test_single_config_grid_is_one_simulate_fetch(sweep_images):
     assert batch == [
         simulate_fetch(sweep_images["base"], trace, config)
     ]
+    assert batch == [
+        simulate_fetch_reference(sweep_images["base"], trace, config)
+    ]
 
 
 def test_empty_trace_and_empty_grid(sweep_images):
@@ -184,7 +188,7 @@ def test_empty_trace_and_empty_grid(sweep_images):
         sweep_images["compressed"], [], [config]
     )
     assert batch == [
-        simulate_fetch(sweep_images["compressed"], [], config)
+        simulate_fetch_reference(sweep_images["compressed"], [], config)
     ]
     assert simulate_fetch_sweep_multi(sweep_images, [0, 1], []) == []
 
