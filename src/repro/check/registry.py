@@ -43,7 +43,6 @@ SCOPES = (
     "store",
     "analysis",
     "static",
-    "serve",
 )
 
 #: Recognized ``--inject`` tamper tags (CI uses these to prove the

@@ -9,7 +9,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.check import invariants as _invariants  # noqa: F401  (registers)
 from repro.check import faults as _faults  # noqa: F401
-from repro.check import serve_faults as _serve_faults  # noqa: F401
 from repro.check import staticchecks as _staticchecks  # noqa: F401
 from repro.check.registry import (
     CheckContext,
@@ -90,38 +89,6 @@ class CheckReport:
             "total_checked": self.total_checked,
             "invariants": [o.as_dict() for o in self.outcomes],
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CheckReport":
-        """Rebuild a report from :meth:`to_json` output.
-
-        The serve client uses this to render a remote ``check`` run
-        exactly like a local one.  Descriptions are not serialized and
-        come back empty; everything :meth:`render` and the exit-code
-        logic consume round-trips.
-        """
-        outcomes = [
-            CheckOutcome(
-                name=o["name"],
-                scope=o["scope"],
-                description="",
-                checked=int(o["checked"]),
-                seconds=float(o["seconds"]),
-                violations=[
-                    Violation(o["name"], v["subject"], v["message"])
-                    for v in o["violations"]
-                ],
-                error=o.get("error"),
-            )
-            for o in payload["invariants"]
-        ]
-        return cls(
-            outcomes=outcomes,
-            seed=payload["seed"],
-            quick=payload["mode"] == "quick",
-            benchmarks=list(payload["benchmarks"]),
-            inject=list(payload.get("inject", ())),
-        )
 
     def render(self) -> str:
         rows = []

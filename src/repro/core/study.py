@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import runtime
 from repro.compiler import CompiledProgram
@@ -256,6 +256,54 @@ def study_for(name: str, scale: Optional[int] = None) -> ProgramStudy:
     else:
         _studies.move_to_end(key)
     return study
+
+
+def study_payload(
+    benchmark: str,
+    scale: Optional[int] = None,
+    schemes: Sequence[str] = (),
+) -> dict:
+    """Every deterministic observable of one program study.
+
+    ``repro study`` prints this payload: artifact digests, the oracle
+    checksum, op counters and the final machine state digest, plus the
+    code size of each requested compression scheme.
+    """
+    study = study_for(benchmark, scale)
+    effective = study.effective_scale
+    image = study.compiled.image
+    run = study.run
+    artifacts = {
+        "compile": runtime.artifact_digest(
+            "compile", benchmark=benchmark, scale=effective
+        ),
+        "trace": runtime.artifact_digest(
+            "trace", benchmark=benchmark, scale=effective
+        ),
+    }
+    scheme_results = {}
+    for key in schemes:
+        compressed = study.compressed(key)
+        artifacts[f"compress/{key}"] = runtime.artifact_digest(
+            "compress", benchmark=benchmark, scale=effective, scheme=key
+        )
+        scheme_results[key] = {
+            "total_code_bytes": compressed.total_code_bytes,
+        }
+    return {
+        "benchmark": benchmark,
+        "scale": effective,
+        "checksum_ok": study.verify_checksum(),
+        "static_ops": image.total_ops,
+        "dynamic_ops": run.dynamic_ops,
+        "dynamic_mops": run.dynamic_mops,
+        "executed_ops": run.executed_ops,
+        "machine_digest": (
+            run.machine.state_digest() if run.machine else None
+        ),
+        "artifacts": artifacts,
+        "schemes": scheme_results,
+    }
 
 
 def clear_caches() -> None:

@@ -2,7 +2,7 @@
 
 :func:`repro.fetch.sweep.simulate_fetch_sweep` is the pure engine — one
 (image, trace) pair, many configs, no I/O.  This module is the runtime
-wrapper the CLI, serve daemon, figure studies, and examples call:
+wrapper the CLI, figure studies, and examples call:
 
 * **Grid building** — :func:`expand_grid` turns per-axis value lists
   (schemes × caches × ATBs × predictors × L0 × bus) into an ordered,
@@ -26,6 +26,7 @@ wrapper the CLI, serve daemon, figure studies, and examples call:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from math import ceil
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -53,8 +54,8 @@ from repro.runtime.tasks import TaskSpec, compile_id, compress_id, \
 __all__ = [
     "execute_sweep_chunk",
     "expand_grid",
-    "grid_token",
     "run_sweep",
+    "sweep_payload",
 ]
 
 _SWEEP_SCHEMES = ("base", "tailored", "compressed")
@@ -191,13 +192,6 @@ def expand_grid(
                                         seen.add(token)
                                         configs.append(config)
     return configs
-
-
-def grid_token(configs: Sequence[FetchConfig]) -> str:
-    """Canonical JSON for a config list (serve dedup keys on this)."""
-    return json.dumps(
-        [config_to_json(config) for config in configs], sort_keys=True
-    )
 
 
 def _fetch_digest(
@@ -448,3 +442,32 @@ def run_sweep(
         if results[index] is None:
             results[index] = results[first_of[token]]
     return results  # type: ignore[return-value]
+
+
+def sweep_payload(
+    benchmark: str,
+    scale: Optional[int],
+    configs: Sequence[FetchConfig],
+    *,
+    jobs: int = 1,
+) -> dict:
+    """One multi-config sweep, as the JSON payload ``repro sweep`` prints."""
+    from repro.core.study import study_for
+
+    metrics = run_sweep(benchmark, configs, scale=scale, jobs=jobs)
+    results = []
+    for config, m in zip(configs, metrics):
+        results.append(
+            {
+                "config": config_to_json(config),
+                "metrics": asdict(m),
+                "ipc": m.ipc,
+                "cache_hit_rate": m.cache_hit_rate,
+            }
+        )
+    return {
+        "benchmark": benchmark,
+        "scale": study_for(benchmark, scale).effective_scale,
+        "configs": len(configs),
+        "results": results,
+    }

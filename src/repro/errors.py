@@ -60,44 +60,6 @@ class CheckError(ReproError):
     """
 
 
-class ServeError(ReproError):
-    """Base class for the ``repro serve`` daemon/client subsystem."""
-
-
-class ProtocolError(ServeError):
-    """A frame or request violated the JSON-framed socket protocol.
-
-    Carries a short machine-readable ``code`` (``bad-magic``,
-    ``version-mismatch``, ``frame-too-large``, ``truncated-frame``,
-    ``bad-json``, ``bad-request``, ``unknown-kind``, ``bad-params``)
-    that the daemon echoes back in typed error replies.
-    """
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class ServerBusy(ServeError):
-    """The daemon rejected a request under admission control.
-
-    ``retry_after`` is the server's suggested back-off in seconds.
-    """
-
-    def __init__(self, message: str, retry_after: float = 0.5) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class RemoteError(ServeError):
-    """A request failed on the server; mirrors the remote typed error."""
-
-    def __init__(self, error_type: str, message: str) -> None:
-        super().__init__(f"{error_type}: {message}")
-        self.error_type = error_type
-        self.remote_message = message
-
-
 class AnalysisError(ReproError):
     """The static-analysis subsystem was used inconsistently, or the
     ``REPRO_ANALYZE`` post-compile gate rejected an image.

@@ -29,6 +29,16 @@ class CacheGeometry:
     line_bytes: int
 
     def __post_init__(self) -> None:
+        for what, value in (
+            ("capacity", self.capacity_bytes),
+            ("ways", self.ways),
+            ("line size", self.line_bytes),
+        ):
+            if value <= 0:
+                raise ConfigurationError(
+                    f"cache {self.name!r}: {what} must be positive, "
+                    f"got {value}"
+                )
         if self.capacity_bytes % (self.ways * self.line_bytes):
             raise ConfigurationError(
                 f"cache {self.name!r}: capacity {self.capacity_bytes} not "
@@ -147,6 +157,33 @@ class FetchConfig:
     predictor: str = "block"
     gshare_history_bits: int = 10
     penalties: PenaltyTable = field(default_factory=PenaltyTable)
+
+    def __post_init__(self) -> None:
+        if self.atb_entries <= 0 or self.atb_ways <= 0:
+            raise ConfigurationError(
+                f"ATB entries and ways must be positive, got "
+                f"{self.atb_entries}:{self.atb_ways}"
+            )
+        if self.atb_entries % self.atb_ways:
+            raise ConfigurationError(
+                f"ATB entries {self.atb_entries} not divisible by ways "
+                f"{self.atb_ways}"
+            )
+        num_atb_sets = self.atb_entries // self.atb_ways
+        if num_atb_sets & (num_atb_sets - 1):
+            raise ConfigurationError(
+                f"ATB set count {num_atb_sets} is not a power of two"
+            )
+        if self.atb_miss_penalty < 0:
+            raise ConfigurationError(
+                f"ATB miss penalty must be non-negative, got "
+                f"{self.atb_miss_penalty}"
+            )
+        if not 1 <= self.gshare_history_bits <= 24:
+            raise ConfigurationError(
+                f"gshare history width must lie in 1..24, got "
+                f"{self.gshare_history_bits}"
+            )
 
     @staticmethod
     def for_scheme(

@@ -284,26 +284,16 @@ def _predictor_component(
     and predictors are inlined behind local bindings: an ATB set is an
     insertion-ordered dict (LRU first) of ``block_id -> [counter,
     last_target]``, and that two-slot list *is* the per-entry predictor
-    state.
+    state.  The ATB shape and history width come from a
+    :class:`FetchConfig`, which has already validated them.
     """
-    if atb_entries % atb_ways:
-        raise ConfigurationError(
-            f"ATB entries {atb_entries} not divisible by ways "
-            f"{atb_ways}"
-        )
     num_atb_sets = atb_entries // atb_ways
-    if num_atb_sets & (num_atb_sets - 1):
-        raise ConfigurationError(
-            f"ATB set count {num_atb_sets} is not a power of two"
-        )
     atb_mask = num_atb_sets - 1
     atb_sets: List[Dict[int, list]] = [{} for _ in range(num_atb_sets)]
     atb_bucket_of = [atb_sets[bid & atb_mask] for bid in range(nblocks)]
 
     use_gshare = predictor == "gshare"
     if use_gshare:
-        if not 1 <= history_bits <= 24:
-            raise ValueError(f"bad history width {history_bits}")
         g_mask = (1 << history_bits) - 1
         g_history = 0
         g_counters = [_WEAK_TAKEN] * (1 << history_bits)

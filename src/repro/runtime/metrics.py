@@ -6,11 +6,11 @@ JSON and the parent merges it, so ``repro run figN --jobs 8`` still ends
 with one coherent :class:`RuntimeReport`.
 
 :func:`capture` additionally tees everything recorded against
-:data:`REPORT` *in the current execution context* into a private report:
-the serve daemon wraps each request handler in a capture so one
-process-global collector still exists (daemon-lifetime totals) while
-every response carries its own per-request stage metrics.  The tee is a
-:class:`contextvars.ContextVar`, so concurrent handler threads capture
+:data:`REPORT` *in the current execution context* into a private report,
+so a caller can see exactly the stage activity of one block of work
+(the ``static`` check scope uses it to prove ``hybrid:static`` runs no
+trace stage) while the process-global totals keep accumulating.  The
+tee is a :class:`contextvars.ContextVar`, so concurrent threads capture
 only their own stage activity.
 """
 

@@ -24,8 +24,8 @@ damaged in place.  Guarantees:
   least-recently-used entries until the store fits ``max_bytes``;
 * **cross-process maintenance lock** — eviction and ``clear()`` take an
   exclusive ``flock`` on ``<root>/.lock`` while reads hold it shared, so
-  a serving daemon's evictor and a concurrent CLI invocation cannot
-  unlink an entry out from under an in-progress read (and two evictors
+  one CLI invocation's evictor and a concurrent CLI or scheduler worker
+  cannot unlink an entry out from under an in-progress read (and two evictors
   cannot interleave their walks).  The lock is advisory and best-effort:
   on filesystems or platforms without ``flock`` the store falls back to
   the old single-owner behavior, whose failure mode is still only a
@@ -297,8 +297,8 @@ class ArtifactStore:
         """Remove every entry; returns how many were dropped.
 
         Takes the exclusive maintenance lock so a ``repro cache clear``
-        racing a serving daemon waits for in-progress reads instead of
-        unlinking entries mid-validation.
+        racing another process waits for its in-progress reads instead
+        of unlinking entries mid-validation.
         """
         dropped = 0
         with self._locked(exclusive=True):

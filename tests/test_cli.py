@@ -237,6 +237,70 @@ class TestInvocationValidation:
         assert "REPRO_STUDY_CACHE_CAP" in err and ">= 1" in err
 
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["study", "compress"],
+            ["sweep", "compress"],
+            ["run", "fig5", "--benchmarks", "compress"],
+            ["analyze", "--program", "compress"],
+            ["check", "--benchmarks", "compress"],
+            ["suite"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_non_positive_scale_rejected(self, capsys, command, scale):
+        assert main(command + ["--scale", scale]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "--scale" in err
+
+
+class TestStudyCommand:
+    ARGS = ["study", "compress", "--scale", "2", "--scheme", "byte"]
+
+    def test_study_json_payload_shape(self, capsys, fresh_cache):
+        assert main(self.ARGS + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"study", "metrics"}
+        study = payload["study"]
+        assert study["benchmark"] == "compress"
+        assert study["scale"] == 2
+        assert study["checksum_ok"] is True
+        assert study["static_ops"] > 0
+        assert study["dynamic_ops"] >= study["executed_ops"] > 0
+        assert len(study["machine_digest"]) == 64
+        assert set(study["artifacts"]) == {
+            "compile", "trace", "compress/byte"
+        }
+        assert set(study["schemes"]) == {"byte"}
+        assert study["schemes"]["byte"]["total_code_bytes"] > 0
+        assert payload["metrics"]["totals"]["misses"] > 0  # cold store
+
+    def test_second_study_is_warm(self, capsys, fresh_cache):
+        assert main(self.ARGS + ["--json"]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        clear_caches()
+        assert main(self.ARGS + ["--json"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["study"] == cold["study"]
+        stages = warm["metrics"]["stages"]
+        assert stages and all(s["misses"] == 0 for s in stages.values())
+
+    def test_study_table_output(self, capsys, fresh_cache):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "Study (compress)" in out
+        assert "scheme byte" in out and "Runtime report" in out
+
+    def test_study_unknown_scheme_exits_two(self, capsys):
+        assert main(
+            ["study", "compress", "--scale", "2", "--scheme", "nosuch"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "nosuch" in err
+
+
 class TestCheckCommand:
     def test_check_quick_passes_and_reports(self, capsys):
         assert main(
@@ -418,12 +482,13 @@ class TestAnalyzeCommand:
                 <= entry["upper_cycles"]
             )
 
-    def test_analyze_bounds_rejects_server_mode(self, capsys):
+    def test_analyze_bounds_rejects_inject(self, capsys):
         assert main(
             ["analyze", "--program", "compress", "--bounds",
-             "--via-server"]
+             "--inject", "bad-branch"]
         ) == 2
-        assert "--bounds" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--bounds" in err and "--inject" in err
 
     def test_analyze_rejects_malformed_gate_env(
         self, capsys, monkeypatch
@@ -480,11 +545,32 @@ class TestSweepCommand:
         ) == 2
         assert "--cache expects N:N:N" in capsys.readouterr().err
 
-    def test_sweep_invalid_geometry_exits_two(self, capsys):
-        assert main(
-            ["sweep", "compress", "--cache", "600:2:32"]
-        ) == 2
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--cache", "600:2:32"], id="cache-600:2:32"),
+            pytest.param(["--cache", "0:2:16"], id="cache-0:2:16"),
+            pytest.param(["--cache", "1024:0:32"], id="cache-1024:0:32"),
+            pytest.param(["--cache", "1024:2:0"], id="cache-1024:2:0"),
+            pytest.param(["--atb", "0:2"], id="atb-0:2"),
+            pytest.param(["--atb", "128:0"], id="atb-128:0"),
+            pytest.param(["--atb", "96:4"], id="atb-96:4"),
+            pytest.param(
+                ["--atb-miss-penalty", "-1"], id="atb-miss-penalty--1"
+            ),
+            pytest.param(
+                ["--predictor", "gshare", "--gshare-bits", "0"],
+                id="gshare-bits-0",
+            ),
+            pytest.param(
+                ["--predictor", "gshare", "--gshare-bits", "25"],
+                id="gshare-bits-25",
+            ),
+        ],
+    )
+    def test_sweep_invalid_geometry_exits_two(self, capsys, flags):
+        assert main(["sweep", "compress", "--scale", "2"] + flags) == 2
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_sweep_unknown_benchmark_exits_two(self, capsys):
         assert main(["sweep", "warp-drive", "--scale", "2"]) == 2

@@ -50,6 +50,30 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             CacheGeometry("bad", 192, 2, 32)  # 3 sets
 
+    @pytest.mark.parametrize(
+        "capacity,ways,line", [(0, 2, 32), (1024, 0, 32), (1024, 2, 0),
+                               (-1024, 2, 32)]
+    )
+    def test_non_positive_geometry_rejected(self, capacity, ways, line):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            CacheGeometry("bad", capacity, ways, line)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"atb_entries": 0},
+            {"atb_ways": 0},
+            {"atb_entries": 96},  # 24 sets
+            {"atb_entries": 130},  # not divisible by 4 ways
+            {"atb_miss_penalty": -1},
+            {"gshare_history_bits": 0},
+            {"gshare_history_bits": 25},
+        ],
+    )
+    def test_invalid_fetch_config_rejected(self, overrides):
+        with pytest.raises(ConfigurationError):
+            FetchConfig.for_scheme("base", **overrides)
+
     def test_zero_size_block_rejected(self):
         with pytest.raises(ConfigurationError):
             BASE_CACHE.lines_of(0, 0)
