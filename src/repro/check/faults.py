@@ -268,7 +268,8 @@ def _race_reader(root: str, digests, seconds: float) -> None:
     "store-race",
     scope="store",
     description="concurrent writers/evictors/readers never produce a "
-                "wrong artifact or an exception",
+                "wrong artifact or an exception, and leave the byte "
+                "ledger an upper bound",
 )
 def _store_race(ctx: CheckContext, rec: Recorder) -> None:
     seconds = 0.6 if ctx.quick else 2.5
@@ -276,14 +277,13 @@ def _store_race(ctx: CheckContext, rec: Recorder) -> None:
     with tempfile.TemporaryDirectory(prefix="repro-check-") as root:
         # A cap small enough that every put() evicts someone.
         entry_bytes = len(pickle.dumps(_payload_for(digests[0]))) + 256
+        cap = 3 * entry_bytes
         processes = [
             ("writer-0", multiprocessing.Process(
-                target=_race_writer,
-                args=(root, 3 * entry_bytes, digests, seconds),
+                target=_race_writer, args=(root, cap, digests, seconds),
             )),
             ("writer-1", multiprocessing.Process(
-                target=_race_writer,
-                args=(root, 3 * entry_bytes, digests, seconds),
+                target=_race_writer, args=(root, cap, digests, seconds),
             )),
             ("evictor", multiprocessing.Process(
                 target=_race_evictor, args=(root, digests, seconds)
@@ -313,6 +313,24 @@ def _store_race(ctx: CheckContext, rec: Recorder) -> None:
                     4: "reader crashed on a corrupt entry",
                 }.get(code, f"{name} exited with code {code}"),
             )
+        # The byte ledger survived the race as an upper bound on the
+        # entries left on disk, so the next capped put still evicts.
+        capped = _fresh_store(root, max_bytes=cap)
+        on_disk = capped.stats().total_bytes
+        ledger = capped.ledger_bytes()
+        rec.expect(
+            ledger is not None and ledger >= on_disk,
+            "ledger",
+            f"ledger {ledger} below the {on_disk} bytes on disk",
+        )
+        capped.put(_DIGEST, _payload_for(_DIGEST))
+        after = capped.stats().total_bytes
+        kept = capped.size_of(_DIGEST)
+        rec.expect(
+            after <= cap + kept,
+            "cap",
+            f"{after} bytes after a capped put, over {cap} + kept {kept}",
+        )
         # Afterwards the store still works.
         store = _fresh_store(root)
         store.put(_DIGEST, _payload_for(_DIGEST))

@@ -22,14 +22,22 @@ damaged in place.  Guarantees:
   same file that was read (never a just-rewritten good entry);
 * **LRU size cap** — entry mtimes are refreshed on hit, and writes evict
   least-recently-used entries until the store fits ``max_bytes``;
-* **cross-process maintenance lock** — eviction and ``clear()`` take an
+* **cross-process maintenance lock** — writes and ``clear()`` take an
   exclusive ``flock`` on ``<root>/.lock`` while reads hold it shared, so
   one CLI invocation's evictor and a concurrent CLI or scheduler worker
   cannot unlink an entry out from under an in-progress read (and two evictors
   cannot interleave their walks).  The lock is advisory and best-effort:
   on filesystems or platforms without ``flock`` the store falls back to
   the old single-owner behavior, whose failure mode is still only a
-  clean miss.
+  clean miss;
+* **byte ledger** — the lock file also holds a running byte total.
+  Every ``put`` adds its envelope size *before* publishing the entry,
+  and nothing ever subtracts (discards, out-of-band unlinks, same-digest
+  overwrites and crashed writers all leave it high), so the ledger is
+  never below the bytes of the entries on disk.  A write therefore only
+  walks the store when the ledger is unreadable or over ``max_bytes`` —
+  exactly the walks that could evict something — and each walk rewrites
+  the ledger with the true total.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import hashlib
 import os
 import pathlib
 import pickle
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,6 +66,11 @@ ENVELOPE_VERSION = 2
 
 #: Distinguishes "cached None" from "not cached".
 MISS = object()
+
+#: The ledger is one decimal byte count ended by a newline; anything
+#: else (an empty lock file from a fresh store, garbage, or a count cut
+#: short before its newline) reads as missing and reseeds with a walk.
+_LEDGER = re.compile(rb"(\d+)\n")
 
 
 @dataclass(frozen=True)
@@ -89,14 +103,16 @@ class ArtifactStore:
     def _locked(self, *, exclusive: bool):
         """Advisory cross-process lock over store maintenance.
 
-        Readers hold it shared; eviction and ``clear()`` hold it
-        exclusive.  Yields whether the lock was actually taken — any
-        failure to create or flock the lock file degrades to unlocked
-        operation (the store's read path already tolerates races; the
-        lock only removes them where the platform cooperates).
+        Readers hold it shared; writes and ``clear()`` hold it
+        exclusive.  Yields the locked descriptor of the lock file (which
+        also holds the byte ledger), or ``None`` if the lock was not
+        taken — any failure to create or flock the lock file degrades to
+        unlocked, ledger-less operation (the store's read path already
+        tolerates races; the lock only removes them where the platform
+        cooperates).
         """
         if fcntl is None:
-            yield False
+            yield None
             return
         fd = None
         try:
@@ -110,14 +126,46 @@ class ArtifactStore:
         except OSError:
             if fd is not None:
                 os.close(fd)
-            yield False
+            yield None
             return
         try:
-            yield True
+            yield fd
         finally:
             os.close(fd)  # closing the descriptor releases the flock
 
-    def _iter_entries(self):
+    @staticmethod
+    def _read_ledger(fd: Optional[int]) -> Optional[int]:
+        """The ledger's byte total, or ``None`` if missing or unparsable."""
+        if fd is None:
+            return None
+        try:
+            match = _LEDGER.fullmatch(os.pread(fd, 32, 0))
+        except OSError:
+            return None
+        return int(match.group(1)) if match else None
+
+    @staticmethod
+    def _write_ledger(fd: Optional[int], total: int) -> None:
+        # Overwrite, then trim: a crash in between can only leave the new
+        # count followed by the tail of a longer old one, which no longer
+        # parses and so reseeds with a walk — never a count below the
+        # truth.
+        if fd is None:
+            return
+        data = b"%d\n" % total
+        try:
+            os.pwrite(fd, data, 0)
+            os.ftruncate(fd, len(data))
+        except OSError:
+            pass
+
+    def ledger_bytes(self) -> Optional[int]:
+        """The byte ledger (``None`` if missing); an upper bound on
+        :attr:`StoreStats.total_bytes` while every writer keeps it."""
+        with self._locked(exclusive=False) as fd:
+            return self._read_ledger(fd)
+
+    def _iter_entries(self, pattern: str = "*.pkl"):
         # Every directory operation tolerates a concurrent evictor or
         # ``clear()`` racing with the walk: a vanished shard or entry is
         # simply skipped.
@@ -129,7 +177,7 @@ class ArtifactStore:
             try:
                 if not shard.is_dir():
                     continue
-                entries = list(shard.glob("*.pkl"))
+                entries = list(shard.glob(pattern))
             except OSError:
                 continue
             for path in entries:
@@ -191,7 +239,13 @@ class ArtifactStore:
             return 0
 
     def put(self, digest: str, payload) -> int:
-        """Persist ``payload`` under ``digest`` atomically; bytes written."""
+        """Persist ``payload`` under ``digest`` atomically; bytes written.
+
+        Staging happens outside the maintenance lock; publishing takes it
+        exclusive.  A concurrent ``clear()`` that removed the staging
+        file turns the write into a no-op that publishes nothing and
+        returns 0.
+        """
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload_blob = pickle.dumps(
@@ -211,11 +265,27 @@ class ArtifactStore:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
-            os.replace(tmp_name, path)
+            with self._locked(exclusive=True) as lock:
+                total = self._read_ledger(lock)
+                if total is not None:
+                    total += len(blob)
+                    self._write_ledger(lock, total)  # before publishing
+                try:
+                    os.replace(tmp_name, path)
+                except FileNotFoundError:
+                    return 0  # a concurrent clear() took the staging file
+                capped = bool(self.max_bytes and self.max_bytes > 0)
+                if total is None:
+                    # Seed the ledger.  Without the lock there is none,
+                    # and a capped store walks every write as it must.
+                    walk = lock is not None or capped
+                else:
+                    walk = capped and total > self.max_bytes
+                if walk:
+                    self._walk(lock, keep=path)
         except BaseException:
             self._discard(pathlib.Path(tmp_name))
             raise
-        self._evict_to_cap(keep=path)
         return len(blob)
 
     # ------------------------------------------------------ maintenance
@@ -246,36 +316,34 @@ class ArtifactStore:
             return  # already gone: nothing to drop
         self._discard(path)
 
-    def _evict_to_cap(self, keep: Optional[pathlib.Path] = None) -> None:
-        """Drop least-recently-used entries until under ``max_bytes``.
+    def _walk(self, lock: Optional[int], keep: pathlib.Path) -> None:
+        """Total the store, evict LRU entries over ``max_bytes``, and
+        reseed the ledger with what is left.
 
-        The just-written entry (``keep``) is never evicted, so a single
+        The caller holds the exclusive maintenance lock (``lock``): in-
+        progress readers (shared holders) finish before anything is
+        unlinked, and two evicting processes serialize their walks.  The
+        just-written entry (``keep``) is never evicted, so a single
         oversized artifact may leave the store temporarily above cap.
-        Runs under the exclusive maintenance lock: in-progress readers
-        (shared holders) finish before anything is unlinked, and two
-        evicting processes serialize their walks.
         """
-        if not self.max_bytes or self.max_bytes <= 0:
-            return
-        with self._locked(exclusive=True):
-            entries = []
-            total = 0
-            for path in self._iter_entries():
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
-            if total <= self.max_bytes:
-                return
+        entries = []
+        total = 0
+        for path in self._iter_entries():
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            entries.append((stat.st_mtime, stat.st_size, path))
+            total += stat.st_size
+        if self.max_bytes and 0 < self.max_bytes < total:
             for _, size, path in sorted(entries, key=lambda e: e[0]):
-                if keep is not None and path == keep:
+                if path == keep:
                     continue
                 self._discard(path)
                 total -= size
                 if total <= self.max_bytes:
-                    return
+                    break
+        self._write_ledger(lock, total)
 
     def stats(self) -> StoreStats:
         entries = 0
@@ -298,13 +366,18 @@ class ArtifactStore:
 
         Takes the exclusive maintenance lock so a ``repro cache clear``
         racing another process waits for its in-progress reads instead
-        of unlinking entries mid-validation.
+        of unlinking entries mid-validation.  Staging files orphaned by
+        writers killed before publishing go too, and the ledger resets
+        to 0.
         """
         dropped = 0
-        with self._locked(exclusive=True):
+        with self._locked(exclusive=True) as lock:
             for path in list(self._iter_entries()):
                 self._discard(path)
                 dropped += 1
+            for path in list(self._iter_entries(".*.tmp")):
+                self._discard(path)
+            self._write_ledger(lock, 0)
         return dropped
 
 

@@ -1,10 +1,15 @@
 """Tests for the content-addressed artifact store."""
 
+import hashlib
 import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import runtime
 from repro.runtime.store import (
     ENVELOPE_MAGIC,
     ENVELOPE_VERSION,
@@ -309,3 +314,241 @@ class TestStatsAndClear:
         assert store.clear() == 2
         assert store.stats().entries == 0
         assert store.get(DIGEST) is MISS
+
+
+def _digest(i: int) -> str:
+    return hashlib.sha256(b"%d" % i).hexdigest()
+
+
+def _disk_bytes(store) -> int:
+    return sum(p.stat().st_size for p in store._iter_entries())
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record every ``_iter_entries`` call made on any store."""
+    calls = []
+    real = ArtifactStore._iter_entries
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(ArtifactStore, "_iter_entries", counting)
+    return calls
+
+
+class TestLedger:
+    """The byte ledger in ``<root>/.lock`` replaces the per-put walk."""
+
+    def test_puts_under_the_cap_walk_only_to_seed(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path, max_bytes=1 << 30)
+        walks = _count_walks(monkeypatch)
+        written = sum(store.put(_digest(i), i) for i in range(2000))
+        assert len(walks) == 1  # the seeding walk of the first put
+        assert store.ledger_bytes() == written == _disk_bytes(store)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["missing", "empty", "garbage", "truncated"],
+    )
+    def test_damaged_ledger_reseeds_with_one_walk(
+        self, tmp_path, monkeypatch, damage
+    ):
+        store = ArtifactStore(tmp_path, max_bytes=1 << 30)
+        for i in range(5):
+            store.put(_digest(i), "x" * 100)
+        lock = tmp_path / ".lock"
+        good = lock.read_bytes()
+        if damage == "missing":
+            lock.unlink()
+        elif damage == "empty":
+            lock.write_bytes(b"")
+        elif damage == "garbage":
+            lock.write_bytes(b"\x00not a byte count\n")
+        else:
+            lock.write_bytes(good[:-2])  # the count cut short
+        walks = _count_walks(monkeypatch)
+        store.put(_digest(5), "x" * 100)
+        store.put(_digest(6), "x" * 100)
+        assert len(walks) == 1
+        assert store.ledger_bytes() == _disk_bytes(store)
+
+    def test_clear_resets_the_ledger(self, tmp_path):
+        store = ArtifactStore(tmp_path, max_bytes=1 << 30)
+        for i in range(3):
+            store.put(_digest(i), "x" * 100)
+        assert store.ledger_bytes() > 0
+        store.clear()
+        assert store.ledger_bytes() == 0
+
+    def test_uncapped_writers_keep_a_capped_store_honest(self, tmp_path):
+        capped = ArtifactStore(tmp_path, max_bytes=1)
+        uncapped = ArtifactStore(tmp_path)
+        capped.put(_digest(0), "x" * 100)
+        for i in range(1, 6):
+            uncapped.put(_digest(i), "x" * 100)
+            assert uncapped.ledger_bytes() >= _disk_bytes(uncapped)
+        assert uncapped.stats().entries == 6  # no cap, no eviction
+        capped.put(_digest(6), "x" * 100)
+        assert [p.stem for p in capped._iter_entries()] == [_digest(6)]
+        assert capped.ledger_bytes() == _disk_bytes(capped)
+
+
+class TestStagingFiles:
+    """``.<digest8>-*.tmp`` files left by writers killed before publish."""
+
+    def test_clear_removes_orphaned_staging_files(self, store):
+        store.put(DIGEST, "value")
+        fd, orphan = tempfile.mkstemp(
+            prefix=f".{DIGEST[:8]}-",
+            suffix=".tmp",
+            dir=store.path_for(DIGEST).parent,
+        )
+        os.close(fd)
+        assert store.stats().entries == 1  # invisible to the entry walk
+        assert store.clear() == 1
+        assert not os.path.exists(orphan)
+        assert list(store.root.rglob("*.tmp")) == []
+
+    def test_put_racing_clear_publishes_nothing(self, store, monkeypatch):
+        real_mkstemp = tempfile.mkstemp
+
+        def mkstemp_then_clear(*args, **kwargs):
+            staged = real_mkstemp(*args, **kwargs)
+            store.clear()  # another process clears mid-write
+            return staged
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp_then_clear)
+        assert store.put(DIGEST, "value") == 0
+        assert store.get(DIGEST) is MISS
+        assert list(store.root.rglob("*.tmp")) == []
+
+    def test_get_or_compute_survives_a_racing_clear(
+        self, tmp_path, monkeypatch
+    ):
+        saved = runtime.runtime_config()
+        runtime.configure(enabled=True, cache_dir=tmp_path / "cache")
+        try:
+            real_mkstemp = tempfile.mkstemp
+
+            def mkstemp_then_clear(*args, **kwargs):
+                staged = real_mkstemp(*args, **kwargs)
+                runtime.default_store().clear()
+                return staged
+
+            monkeypatch.setattr(tempfile, "mkstemp", mkstemp_then_clear)
+            value = runtime.get_or_compute(
+                "compile",
+                lambda: "computed",
+                benchmark="staging-race",
+                scale=1,
+            )
+            assert value == "computed"
+            assert runtime.default_store().stats().entries == 0
+        finally:
+            runtime.set_runtime_config(saved)
+
+
+# ------------------------------------------- ledger vs. walk-every-put
+_KEYS = 4
+_CAPS = {"one-byte": 1, "few-entries": 2500, "unbounded": None}
+
+
+def _model_evict(root, max_bytes, keep) -> None:
+    """The pre-ledger policy: after every put, walk the whole store and
+    drop least-recently-modified entries (never ``keep``) to the cap."""
+    if not max_bytes:
+        return
+    entries = []
+    for dirpath, _, names in os.walk(os.path.join(root, "objects")):
+        for name in names:
+            if name.endswith(".pkl"):
+                path = os.path.join(dirpath, name)
+                stat = os.stat(path)
+                entries.append((stat.st_mtime, stat.st_size, path))
+    total = sum(size for _, size, _ in entries)
+    for _, size, path in sorted(entries):
+        if total <= max_bytes:
+            break
+        if path != keep:
+            os.unlink(path)
+            total -= size
+
+
+def _survivors(store) -> set:
+    return {p.stem for p in store._iter_entries()}
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(0, _KEYS - 1),
+            st.sampled_from([16, 400, 1200]),
+        ),
+        st.tuples(st.just("get"), st.integers(0, _KEYS - 1)),
+        st.tuples(
+            st.just("utime"),
+            st.integers(0, _KEYS - 1),
+            st.integers(0, 2000),
+        ),
+        st.tuples(st.just("unlink"), st.integers(0, _KEYS - 1)),
+        st.tuples(
+            st.just("overwrite"),
+            st.integers(0, _KEYS - 1),
+            st.sampled_from([16, 400, 1200]),
+        ),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.sampled_from(sorted(_CAPS)), ops=_OPS)
+def test_ledger_evicts_exactly_like_walking_every_put(cap, ops):
+    """Against a store that walks and evicts after every put, the ledger
+    store keeps the same entries after every operation (LRU order, the
+    protected just-written entry, out-of-band deletions and all) and its
+    ledger never falls below the bytes on disk.
+
+    Each operation stamps the entries it touches with a distinct logical
+    mtime in both stores, so LRU order never depends on clock ties.
+    """
+    max_bytes = _CAPS[cap]
+    with tempfile.TemporaryDirectory() as tmp:
+        real = ArtifactStore(os.path.join(tmp, "ledger"), max_bytes)
+        model = ArtifactStore(os.path.join(tmp, "model"))  # evicts below
+        digests = [_digest(i) for i in range(_KEYS)]
+        for clock, (op, key, *arg) in enumerate(ops, start=1):
+            digest = digests[key]
+            paths = [real.path_for(digest), model.path_for(digest)]
+            stamp = None
+            if op == "overwrite" and not paths[0].exists():
+                op = "skip"
+            if op in ("put", "overwrite"):
+                payload = (clock, "x" * arg[0])
+                real.put(digest, payload)
+                model.put(digest, payload)
+                _model_evict(model.root, max_bytes, str(paths[1]))
+                stamp = (1000 + clock) * 10**9
+            elif op == "get":
+                got, expected = real.get(digest), model.get(digest)
+                assert (got is MISS) == (expected is MISS)
+                if got is not MISS:
+                    assert got == expected
+                    stamp = (1000 + clock) * 10**9
+            elif op == "utime":
+                if paths[0].exists():
+                    stamp = arg[0] * 10**9 + clock * 1000
+            elif op == "unlink":
+                for path in paths:
+                    if path.exists():
+                        path.unlink()
+            if stamp is not None:
+                for path in paths:
+                    os.utime(path, ns=(stamp, stamp))
+            assert _survivors(real) == _survivors(model), (clock, op)
+            ledger = real.ledger_bytes()
+            assert ledger is None or ledger >= _disk_bytes(real)
