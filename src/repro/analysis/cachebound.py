@@ -28,18 +28,21 @@ scope enforces exactly that bracket against the simulator.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import predecessors, reachable
+from repro.analysis.dataflow import predecessors, reverse_postorder
 from repro.analysis.imagecfg import interprocedural_cfg
 from repro.compression.registry import fetch_scheme_base
 from repro.errors import ConfigurationError
 from repro.fetch.config import FetchConfig
 
 #: One abstract cache: ``{set_index: {line: age}}`` (empty sets omitted
-#: so structurally equal states compare equal).
+#: so structurally equal states compare equal).  A state is immutable
+#: once produced: the domain operations below build new outer dicts,
+#: rebuild only the set buckets they change and share every other
+#: bucket with their inputs, so a bucket may belong to many states.
 State = Dict[int, Dict[int, int]]
 Access = Tuple[int, int]
 
@@ -51,10 +54,12 @@ def _touch_must(state: State, accesses: Sequence[Access], ways: int) -> State:
     Ages are upper bounds: lines strictly younger than the accessed
     line's (upper-bound) age got reordered below it, so only they age.
     """
-    out = {s: dict(d) for s, d in state.items()}
+    out = dict(state)
     for set_index, line in accesses:
         bucket = out.get(set_index, {})
         age = bucket.get(line, ways)
+        if not age:
+            continue  # already youngest: nothing ages, nothing moves
         new_bucket = {}
         for other, a in bucket.items():
             if other == line:
@@ -75,7 +80,7 @@ def _touch_may(state: State, accesses: Sequence[Access], ways: int) -> State:
     is not in the may state at all the access is a guaranteed concrete
     miss and *every* resident line ages.
     """
-    out = {s: dict(d) for s, d in state.items()}
+    out = dict(state)
     for set_index, line in accesses:
         bucket = out.get(set_index, {})
         age = bucket.get(line)
@@ -92,30 +97,65 @@ def _touch_may(state: State, accesses: Sequence[Access], ways: int) -> State:
 
 
 def _join_must(a: State, b: State) -> State:
-    """Intersection with maximal ages (the weaker guarantee survives)."""
-    out: State = {}
+    """Intersection with maximal ages (the weaker guarantee survives).
+
+    Returns ``a`` itself when ``b`` weakens none of its guarantees.
+    """
+    if a is b:
+        return a
+    out = a
     for set_index, da in a.items():
         db = b.get(set_index)
-        if not db:
+        if db is da:
             continue
-        merged = {
-            line: max(age, db[line])
-            for line, age in da.items()
-            if line in db
-        }
+        merged = {}
+        if db:
+            for line, age in da.items():
+                other = db.get(line)
+                if other is not None:
+                    merged[line] = other if other > age else age
+        if merged == da:
+            continue
+        if out is a:
+            out = dict(a)
         if merged:
             out[set_index] = merged
+        else:
+            del out[set_index]
     return out
 
 
 def _join_may(a: State, b: State) -> State:
-    """Union with minimal ages (any possibility survives)."""
-    out = {s: dict(d) for s, d in a.items()}
+    """Union with minimal ages (any possibility survives).
+
+    Returns ``a`` itself when ``b`` adds no line and lowers no age.
+    """
+    if a is b:
+        return a
+    out = a
     for set_index, db in b.items():
-        bucket = out.setdefault(set_index, {})
-        for line, age in db.items():
-            cur = bucket.get(line)
-            bucket[line] = age if cur is None else min(cur, age)
+        da = a.get(set_index)
+        if da is db:
+            continue
+        if da is None:
+            merged = db
+        elif da == db:
+            continue
+        else:
+            merged = da
+            for line, age in db.items():
+                cur = da.get(line)
+                if cur is None or age < cur:
+                    if merged is da:
+                        merged = dict(da)
+                    merged[line] = age
+            if merged is da:
+                continue
+            if merged == db:
+                merged = db  # share it, so later joins end on ``is``
+        if out is a:
+            out = dict(a)
+        out[set_index] = merged
     return out
 
 
@@ -128,67 +168,52 @@ def _holds(state: State, accesses: Sequence[Access]) -> bool:
 # ------------------------------------------------------------------ solver
 def _solve(
     cfg: Dict[int, Sequence[int]],
-    entry: int,
-    transfer_must: Callable[[int, State], State],
-    transfer_may: Callable[[int, State], State],
-) -> Tuple[Dict[int, State], Dict[int, State]]:
-    """Fixpoint in-states (must, may) per reachable block.
+    order: Sequence[int],
+    preds: Dict[int, Sequence[int]],
+    transfer: Callable[[int, State], State],
+    join: Callable[[State, State], State],
+) -> Dict[int, State]:
+    """Fixpoint in-state of one domain (must or may) per reachable block.
 
-    The boundary at ``entry`` is the cold cache — empty must (nothing
+    ``order`` lists the blocks reachable from the entry ``order[0]`` in
+    reverse postorder; ``preds`` maps each block to its predecessors.
+    The boundary at the entry is the cold cache — empty must (nothing
     guaranteed resident) *and* empty may (nothing possibly resident):
     the simulator builds its structures empty, so this is both sound
-    and precise (first touches classify as compulsory misses).  The
-    worklist is optimistic: a node joins only predecessors already
-    computed; monotone transfers over the finite age lattice guarantee
-    convergence.
+    and precise (first touches classify as compulsory misses).  A block
+    joins only predecessors already computed, and the worklist always
+    runs the earliest block in reverse postorder, so a loop body
+    settles before the code after it runs.  The transfers are monotone
+    over a finite lattice, so the fixpoint is unique and the visit
+    order changes only its cost.
     """
-    live = reachable(cfg, entry)
-    preds = predecessors(cfg)
-
-    def in_states(node: int, out_must, out_may) -> Tuple[State, State]:
-        musts: List[State] = []
-        mays: List[State] = []
-        if node == entry:
-            musts.append({})
-            mays.append({})
-        for pred in preds.get(node, ()):
-            if pred in out_must:
-                musts.append(out_must[pred])
-                mays.append(out_may[pred])
-        must = musts[0]
-        for state in musts[1:]:
-            must = _join_must(must, state)
-        may = mays[0]
-        for state in mays[1:]:
-            may = _join_may(may, state)
-        return must, may
-
-    out_must: Dict[int, State] = {}
-    out_may: Dict[int, State] = {}
-    work = deque([entry])
-    queued = {entry}
-    while work:
-        node = work.popleft()
-        queued.discard(node)
-        must, may = in_states(node, out_must, out_may)
-        new_must = transfer_must(node, must)
-        new_may = transfer_may(node, may)
-        if (
-            node not in out_must
-            or out_must[node] != new_must
-            or out_may[node] != new_may
-        ):
-            out_must[node] = new_must
-            out_may[node] = new_may
-            for succ in cfg.get(node, ()):
-                if succ in live and succ not in queued:
-                    work.append(succ)
-                    queued.add(succ)
-    in_must: Dict[int, State] = {}
-    in_may: Dict[int, State] = {}
-    for node in live:
-        in_must[node], in_may[node] = in_states(node, out_must, out_may)
-    return in_must, in_may
+    entry = order[0]
+    rank = {node: index for index, node in enumerate(order)}
+    ins: Dict[int, State] = {}
+    outs: Dict[int, State] = {}
+    heap = [0]
+    queued = {0}
+    while heap:
+        index = heappop(heap)
+        queued.discard(index)
+        node = order[index]
+        state = {} if node == entry else None
+        for pred in preds[node]:
+            out = outs.get(pred)
+            if out is None:
+                continue
+            state = out if state is None else join(state, out)
+        ins[node] = state
+        new = transfer(node, state)
+        if node in outs and outs[node] == new:
+            continue
+        outs[node] = new
+        for succ in cfg[node]:
+            succ_index = rank[succ]
+            if succ_index not in queued:
+                heappush(heap, succ_index)
+                queued.add(succ_index)
+    return ins
 
 
 # ----------------------------------------------------------- classification
@@ -241,77 +266,66 @@ def _l0_possible(compressed, config: FetchConfig) -> List[bool]:
     ]
 
 
-def classify_fetch(compressed, config: FetchConfig) -> FetchClassification:
+def classify_fetch(
+    compressed,
+    config: FetchConfig,
+    *,
+    span_pairs: Optional[Sequence[Sequence[Access]]] = None,
+    l0_possible: Optional[Sequence[bool]] = None,
+) -> FetchClassification:
     """Must/may classification of the I-cache and the ATB.
 
     Classification uses each block's *in*-state (the abstract cache
     before the block's own access), matching the simulator's
-    probe-then-install order.
+    probe-then-install order.  ``span_pairs`` and ``l0_possible`` are
+    the per-block cache lines and L0 eligibility; a caller that already
+    built them for this config passes them in.
     """
     from repro.fetch.sweep import block_span_pairs
 
     image = compressed.image
+    if span_pairs is None:
+        span_pairs = block_span_pairs(compressed, config.cache)
+    if l0_possible is None:
+        l0_possible = _l0_possible(compressed, config)
     cfg = interprocedural_cfg(image)
-    span_pairs = block_span_pairs(compressed, config.cache)
-    cache_ways = config.cache.ways
-    l0_possible = _l0_possible(compressed, config)
+    order = reverse_postorder(cfg, image.entry_block)
+    preds = predecessors(cfg)
+    live = frozenset(order)
 
-    def cache_must(bid: int, state: State) -> State:
-        updated = _touch_must(state, span_pairs[bid], cache_ways)
-        if l0_possible[bid]:
-            return _join_must(updated, state)
-        return updated
+    def classify(
+        accesses: Sequence[Sequence[Access]],
+        ways: int,
+        buffered: Sequence[bool],
+    ) -> Classification:
+        def must(bid: int, state: State) -> State:
+            updated = _touch_must(state, accesses[bid], ways)
+            return _join_must(updated, state) if buffered[bid] else updated
 
-    def cache_may(bid: int, state: State) -> State:
-        updated = _touch_may(state, span_pairs[bid], cache_ways)
-        if l0_possible[bid]:
-            return _join_may(updated, state)
-        return updated
+        def may(bid: int, state: State) -> State:
+            updated = _touch_may(state, accesses[bid], ways)
+            return _join_may(updated, state) if buffered[bid] else updated
 
-    entry = image.entry_block
-    must_in, may_in = _solve(cfg, entry, cache_must, cache_may)
-    live = frozenset(must_in)
-    cache_cls = Classification(
-        always_hit=frozenset(
-            b for b in live if _holds(must_in[b], span_pairs[b])
-        ),
-        always_miss=frozenset(
-            b for b in live if not _holds(may_in[b], span_pairs[b])
-        ),
-        analyzed=live,
-    )
-
-    atb_ways = config.atb_ways
-    if config.atb_entries % atb_ways:
-        raise ConfigurationError(
-            f"ATB entries {config.atb_entries} not divisible by ways "
-            f"{atb_ways}"
+        must_in = _solve(cfg, order, preds, must, _join_must)
+        may_in = _solve(cfg, order, preds, may, _join_may)
+        return Classification(
+            always_hit=frozenset(
+                b for b in live if _holds(must_in[b], accesses[b])
+            ),
+            always_miss=frozenset(
+                b for b in live if not _holds(may_in[b], accesses[b])
+            ),
+            analyzed=live,
         )
-    num_atb_sets = config.atb_entries // atb_ways
-    if num_atb_sets & (num_atb_sets - 1):
-        raise ConfigurationError(
-            f"ATB set count {num_atb_sets} is not a power of two"
-        )
-    atb_mask = num_atb_sets - 1
+
+    # The ATB has no buffer in front of it; FetchConfig guarantees a
+    # power-of-two set count.
+    atb_mask = config.atb_entries // config.atb_ways - 1
     atb_access = [((bid & atb_mask, bid),) for bid in range(len(image))]
-
-    def atb_must(bid: int, state: State) -> State:
-        return _touch_must(state, atb_access[bid], atb_ways)
-
-    def atb_may(bid: int, state: State) -> State:
-        return _touch_may(state, atb_access[bid], atb_ways)
-
-    atb_must_in, atb_may_in = _solve(cfg, entry, atb_must, atb_may)
-    atb_cls = Classification(
-        always_hit=frozenset(
-            b for b in live if _holds(atb_must_in[b], atb_access[b])
-        ),
-        always_miss=frozenset(
-            b for b in live if not _holds(atb_may_in[b], atb_access[b])
-        ),
-        analyzed=live,
+    return FetchClassification(
+        cache=classify(span_pairs, config.cache.ways, l0_possible),
+        atb=classify(atb_access, config.atb_ways, [False] * len(image)),
     )
-    return FetchClassification(cache=cache_cls, atb=atb_cls)
 
 
 # ----------------------------------------------------------------- bounds
@@ -380,11 +394,14 @@ def cycle_bounds(
             "hybrid fetch needs an image with per-block scheme tags"
         )
 
-    classification = classify_fetch(compressed, config)
+    span_pairs = block_span_pairs(compressed, config.cache)
+    l0_possible = _l0_possible(compressed, config)
+    classification = classify_fetch(
+        compressed, config, span_pairs=span_pairs, l0_possible=l0_possible
+    )
     cache_cls = classification.cache
     atb_cls = classification.atb
 
-    span_pairs = block_span_pairs(compressed, config.cache)
     penalties = config.penalties
     pen_rows = {
         pen_scheme: (
@@ -406,7 +423,6 @@ def cycle_bounds(
         if has_buffer
         else 0
     )
-    l0_possible = _l0_possible(compressed, config)
 
     lower = upper = 0
     fetches = 0

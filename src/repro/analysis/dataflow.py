@@ -67,6 +67,31 @@ def reachable(cfg: Digraph, entry: Node) -> FrozenSet[Node]:
     return frozenset(seen)
 
 
+def reverse_postorder(cfg: Digraph, entry: Node) -> List[Node]:
+    """Nodes reachable from ``entry`` in reverse DFS postorder.
+
+    ``entry`` comes first, and every node precedes its successors
+    except along retreating (loop) edges.
+    """
+    order: List[Node] = []
+    seen = {entry}
+    stack: List[Tuple[Node, int]] = [(entry, 0)]
+    while stack:
+        node, index = stack[-1]
+        succs = cfg.get(node, ())
+        if index < len(succs):
+            stack[-1] = (node, index + 1)
+            succ = succs[index]
+            if succ in cfg and succ not in seen:
+                seen.add(succ)
+                stack.append((succ, 0))
+        else:
+            order.append(node)
+            stack.pop()
+    order.reverse()
+    return order
+
+
 @dataclass
 class DataflowResult:
     """Fixed-point facts in *program order* regardless of direction.
@@ -256,5 +281,6 @@ __all__ = [
     "predecessors",
     "reachable",
     "reaching_definitions",
+    "reverse_postorder",
     "solve",
 ]

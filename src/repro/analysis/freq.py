@@ -19,9 +19,13 @@ store all work unchanged with zero trace runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import predecessors, reachable
+from repro.analysis.dataflow import (
+    predecessors,
+    reachable,
+    reverse_postorder,
+)
 from repro.analysis.imagecfg import interprocedural_cfg
 from repro.analysis.loops import back_edges
 
@@ -78,26 +82,6 @@ def branch_probabilities(cfg: Cfg, entry: int) -> Dict[Edge, float]:
     return probs
 
 
-def _reverse_postorder(cfg: Cfg, entry: int) -> List[int]:
-    order: List[int] = []
-    seen = {entry}
-    stack: List[Tuple[int, int]] = [(entry, 0)]
-    while stack:
-        node, index = stack[-1]
-        succs = cfg.get(node, ())
-        if index < len(succs):
-            stack[-1] = (node, index + 1)
-            succ = succs[index]
-            if succ in cfg and succ not in seen:
-                seen.add(succ)
-                stack.append((succ, 0))
-        else:
-            order.append(node)
-            stack.pop()
-    order.reverse()
-    return order
-
-
 def block_frequencies(
     cfg: Cfg,
     entry: int,
@@ -113,7 +97,7 @@ def block_frequencies(
     """
     if probabilities is None:
         probabilities = branch_probabilities(cfg, entry)
-    order = _reverse_postorder(cfg, entry)
+    order = reverse_postorder(cfg, entry)
     preds = predecessors(cfg)
     freq = {block: 0.0 for block in order}
     freq[entry] = 1.0

@@ -49,6 +49,11 @@ class CacheGeometry:
                 f"cache {self.name!r}: {self.num_sets} sets is not a "
                 "power of two"
             )
+        if self.num_sets < 2:
+            raise ConfigurationError(
+                f"cache {self.name!r}: the odd/even banked cache needs "
+                f"at least 2 sets, got {self.num_sets}"
+            )
 
     @property
     def num_sets(self) -> int:

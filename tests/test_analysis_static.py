@@ -9,14 +9,18 @@ Three layers of evidence, mirroring the module structure:
   respects the flow equations, and static heat ranks real compiled
   loop bodies above their preheaders;
 * **cachebound** — the must/may domain is sound against a concrete
-  LRU oracle on random access strings, and the cycle bounds bracket
-  the real simulator on real studies (spot here; exhaustively in the
-  ``static`` check scope).
+  LRU oracle on random access strings, the copy-on-write domain and
+  the reverse-postorder solver match a dict-copy FIFO oracle on random
+  digraphs, and the cycle bounds bracket the real simulator on real
+  studies (spot here; exhaustively in the ``static`` check scope).
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import deque
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +29,18 @@ from tests.conftest import build_call_module, build_counting_module
 from repro.analysis.cachebound import (
     _join_may,
     _join_must,
+    _solve,
     _touch_may,
     _touch_must,
     classify_fetch,
     cycle_bounds,
 )
-from repro.analysis.dataflow import dominators, reachable
+from repro.analysis.dataflow import (
+    dominators,
+    predecessors,
+    reachable,
+    reverse_postorder,
+)
 from repro.analysis.freq import (
     BACK_EDGE_MASS,
     FREQUENCY_CLAMP,
@@ -313,6 +323,247 @@ class TestMustMayDomain:
             for line, age in concrete.items():
                 assert line in may
                 assert may[line] <= age
+
+
+# -------------------------------------------- dict-copy FIFO solver oracle
+# The plain reference: every operation copies every set bucket, both
+# domains share one FIFO worklist, and in-states are rebuilt from the
+# final out-states.  The copy-on-write, reverse-postorder production
+# solver must match it exactly.
+State = Dict[int, Dict[int, int]]
+Access = Tuple[int, int]
+
+
+def _oracle_touch_must(
+    state: State, accesses: Sequence[Access], ways: int
+) -> State:
+    out = {s: dict(d) for s, d in state.items()}
+    for set_index, line in accesses:
+        bucket = out.get(set_index, {})
+        age = bucket.get(line, ways)
+        new_bucket = {}
+        for other, a in bucket.items():
+            if other == line:
+                continue
+            na = a + 1 if a < age else a
+            if na < ways:
+                new_bucket[other] = na
+        new_bucket[line] = 0
+        out[set_index] = new_bucket
+    return out
+
+
+def _oracle_touch_may(
+    state: State, accesses: Sequence[Access], ways: int
+) -> State:
+    out = {s: dict(d) for s, d in state.items()}
+    for set_index, line in accesses:
+        bucket = out.get(set_index, {})
+        age = bucket.get(line)
+        new_bucket = {}
+        for other, a in bucket.items():
+            if other == line:
+                continue
+            na = a + 1 if age is None or a <= age else a
+            if na < ways:
+                new_bucket[other] = na
+        new_bucket[line] = 0
+        out[set_index] = new_bucket
+    return out
+
+
+def _oracle_join_must(a: State, b: State) -> State:
+    out: State = {}
+    for set_index, da in a.items():
+        db = b.get(set_index)
+        if not db:
+            continue
+        merged = {
+            line: max(age, db[line])
+            for line, age in da.items()
+            if line in db
+        }
+        if merged:
+            out[set_index] = merged
+    return out
+
+
+def _oracle_join_may(a: State, b: State) -> State:
+    out = {s: dict(d) for s, d in a.items()}
+    for set_index, db in b.items():
+        bucket = out.setdefault(set_index, {})
+        for line, age in db.items():
+            cur = bucket.get(line)
+            bucket[line] = age if cur is None else min(cur, age)
+    return out
+
+
+def _oracle_solve(
+    cfg: Dict[int, Sequence[int]],
+    entry: int,
+    transfer_must: Callable[[int, State], State],
+    transfer_may: Callable[[int, State], State],
+) -> Tuple[Dict[int, State], Dict[int, State]]:
+    live = reachable(cfg, entry)
+    preds = predecessors(cfg)
+
+    def in_states(node: int, out_must, out_may) -> Tuple[State, State]:
+        musts: List[State] = []
+        mays: List[State] = []
+        if node == entry:
+            musts.append({})
+            mays.append({})
+        for pred in preds.get(node, ()):
+            if pred in out_must:
+                musts.append(out_must[pred])
+                mays.append(out_may[pred])
+        must = musts[0]
+        for state in musts[1:]:
+            must = _oracle_join_must(must, state)
+        may = mays[0]
+        for state in mays[1:]:
+            may = _oracle_join_may(may, state)
+        return must, may
+
+    out_must: Dict[int, State] = {}
+    out_may: Dict[int, State] = {}
+    work = deque([entry])
+    queued = {entry}
+    while work:
+        node = work.popleft()
+        queued.discard(node)
+        must, may = in_states(node, out_must, out_may)
+        new_must = transfer_must(node, must)
+        new_may = transfer_may(node, may)
+        if (
+            node not in out_must
+            or out_must[node] != new_must
+            or out_may[node] != new_may
+        ):
+            out_must[node] = new_must
+            out_may[node] = new_may
+            for succ in cfg.get(node, ()):
+                if succ in live and succ not in queued:
+                    work.append(succ)
+                    queued.add(succ)
+    in_must: Dict[int, State] = {}
+    in_may: Dict[int, State] = {}
+    for node in live:
+        in_must[node], in_may[node] = in_states(node, out_must, out_may)
+    return in_must, in_may
+
+
+@st.composite
+def access_strings(draw, num_sets):
+    """``((set, line), ...)`` with each line pinned to one set."""
+    lines = draw(st.lists(st.integers(min_value=0, max_value=7), max_size=4))
+    return tuple((line % num_sets, line) for line in lines)
+
+
+@st.composite
+def abstract_states(draw, ways):
+    """A ``{set: {line: age}}`` state with every age below ``ways``."""
+    return draw(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=2),
+            st.dictionaries(
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=ways - 1),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=3,
+        )
+    )
+
+
+class TestSolver:
+    WAYS = 3
+    OPS = (
+        ("touch", _touch_must, _oracle_touch_must),
+        ("touch", _touch_may, _oracle_touch_may),
+        ("join", _join_must, _oracle_join_must),
+        ("join", _join_may, _oracle_join_may),
+    )
+
+    @staticmethod
+    def _transfers(touch_must, touch_may, join_must, join_may, problem):
+        _, accesses, ways, buffered = problem
+
+        # ``join(update(in), in)`` models an L0-eligible block: the
+        # cache may or may not see its access.
+        def must(node: int, state: State) -> State:
+            updated = touch_must(state, accesses[node], ways)
+            return join_must(updated, state) if buffered[node] else updated
+
+        def may(node: int, state: State) -> State:
+            updated = touch_may(state, accesses[node], ways)
+            return join_may(updated, state) if buffered[node] else updated
+
+        return must, may
+
+    @pytest.mark.parametrize("l0", [False, True], ids=["plain", "l0-join"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_solve_matches_fifo_oracle(self, l0, data):
+        """Same in-states as the FIFO dict-copy solver at every reachable
+        node, on random digraphs: self-loops, irreducible cycles and
+        unreachable nodes all occur."""
+        cfg = data.draw(digraphs(max_nodes=9))
+        num_sets = data.draw(st.sampled_from([1, 2, 4]))
+        ways = data.draw(st.integers(min_value=1, max_value=3))
+        accesses = {
+            node: data.draw(access_strings(num_sets)) for node in cfg
+        }
+        buffered = {
+            node: l0 and data.draw(st.booleans()) for node in cfg
+        }
+        problem = (cfg, accesses, ways, buffered)
+        want_must, want_may = _oracle_solve(
+            cfg,
+            0,
+            *self._transfers(
+                _oracle_touch_must, _oracle_touch_may,
+                _oracle_join_must, _oracle_join_may, problem,
+            ),
+        )
+        order = reverse_postorder(cfg, 0)
+        preds = predecessors(cfg)
+        must, may = self._transfers(
+            _touch_must, _touch_may, _join_must, _join_may, problem
+        )
+        got_must = _solve(cfg, order, preds, must, _join_must)
+        got_may = _solve(cfg, order, preds, may, _join_may)
+        assert set(got_must) == set(got_may) == reachable(cfg, 0)
+        assert got_must == want_must
+        assert got_may == want_may
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_domain_ops_never_mutate_their_arguments(self, data):
+        """Results equal the dict-copy oracle's, and no operation changes
+        any state built so far — buckets are shared between states, so a
+        write to one would silently change others."""
+        pool = data.draw(
+            st.lists(abstract_states(self.WAYS), min_size=1, max_size=3)
+        )
+        snapshots = copy.deepcopy(pool)
+        steps = data.draw(st.integers(min_value=1, max_value=12))
+        for _ in range(steps):
+            kind, op, oracle = data.draw(st.sampled_from(self.OPS))
+            a = data.draw(st.sampled_from(pool))
+            if kind == "touch":
+                accesses = data.draw(access_strings(4))
+                result = op(a, accesses, self.WAYS)
+                expected = oracle(copy.deepcopy(a), accesses, self.WAYS)
+            else:
+                b = data.draw(st.sampled_from(pool))
+                result = op(a, b)
+                expected = oracle(copy.deepcopy(a), copy.deepcopy(b))
+            assert result == expected
+            pool.append(result)
+            snapshots.append(copy.deepcopy(result))
+            assert pool == snapshots
 
 
 # ---------------------------------------------------------- cycle bounds

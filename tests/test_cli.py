@@ -552,6 +552,7 @@ class TestSweepCommand:
             pytest.param(["--cache", "0:2:16"], id="cache-0:2:16"),
             pytest.param(["--cache", "1024:0:32"], id="cache-1024:0:32"),
             pytest.param(["--cache", "1024:2:0"], id="cache-1024:2:0"),
+            pytest.param(["--cache", "64:2:32"], id="cache-64:2:32"),
             pytest.param(["--atb", "0:2"], id="atb-0:2"),
             pytest.param(["--atb", "128:0"], id="atb-128:0"),
             pytest.param(["--atb", "96:4"], id="atb-96:4"),

@@ -59,6 +59,14 @@ class TestGeometry:
             CacheGeometry("bad", capacity, ways, line)
 
     @pytest.mark.parametrize(
+        "capacity,ways,line", [(64, 2, 32), (128, 4, 32), (40, 1, 40)]
+    )
+    def test_single_set_geometry_rejected(self, capacity, ways, line):
+        # The banked cache splits its sets into odd and even banks.
+        with pytest.raises(ConfigurationError, match="at least 2 sets"):
+            CacheGeometry("bad", capacity, ways, line)
+
+    @pytest.mark.parametrize(
         "overrides",
         [
             {"atb_entries": 0},
