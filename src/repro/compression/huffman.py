@@ -189,24 +189,22 @@ class HuffmanDecoder:
     one ``read`` of ``max_code_length`` bits, then a walk over a
     first-code/offset-per-length table — integer compares only, no
     per-length dict probes, no repeated reads.
-    :meth:`decode_symbol_reference` is the original per-length dictionary
-    walk, kept as the oracle for differential tests and benches.
     """
 
-    __slots__ = ("_steps", "_max_length", "_by_length", "_lengths")
+    __slots__ = ("_steps", "_max_length")
 
     def __init__(self, code: HuffmanCode) -> None:
-        self._by_length: dict[int, dict[int, int]] = {}
+        by_length: dict[int, dict[int, int]] = {}
         for symbol, (word, length) in code.codes.items():
-            self._by_length.setdefault(length, {})[word] = symbol
-        self._lengths = sorted(self._by_length)
+            by_length.setdefault(length, {})[word] = symbol
+        lengths = sorted(by_length)
         # Canonical tables: codes of one length are consecutive integers,
         # so each length needs only (first_code, limit, symbols-in-order).
-        max_length = self._lengths[-1]
+        max_length = lengths[-1]
         self._max_length = max_length
         self._steps: list[tuple[int, int, int, int, list[int]]] = []
-        for length in self._lengths:
-            table = self._by_length[length]
+        for length in lengths:
+            table = by_length[length]
             first = min(table)
             symbols = [table[word] for word in sorted(table)]
             self._steps.append(
@@ -240,20 +238,4 @@ class HuffmanDecoder:
                 return symbols[prefix - first]
         raise CompressionError(
             f"bit pattern {window:b} ({take} bits) matches no code word"
-        )
-
-    def decode_symbol_reference(self, reader: BitReader) -> int:
-        """The original per-length dict walk (the retained reference)."""
-        word = 0
-        consumed = 0
-        for length in self._lengths:
-            word = (word << (length - consumed)) | reader.read(
-                length - consumed
-            )
-            consumed = length
-            table = self._by_length.get(length)
-            if table is not None and word in table:
-                return table[word]
-        raise CompressionError(
-            f"bit pattern {word:b} ({consumed} bits) matches no code word"
         )

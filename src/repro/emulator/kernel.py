@@ -33,13 +33,13 @@ executor identical in effect to the reference's ``_execute_mop``.
 The kernel must produce a **bit-identical** :class:`RunResult`
 (``block_trace``, ``dynamic_ops``/``dynamic_mops``, ``executed_ops``,
 ``opcode_counts``, final machine state) — enforced by
-``tests/test_emulator_kernel.py``, the ``emulator-kernel-vs-ref``
-invariant in :mod:`repro.check` and the identity pass of
-``repro bench emulate_trace_*``.  The one deliberate divergence is on
-the *raising* path: when an op faults mid-MultiOp (division by zero,
-bad address), earlier ops of a hazard-free group have already written
-their results where the reference would have discarded the whole
-group's buffered writes.  An :class:`EmulationError` aborts the run
+``tests/test_emulator_kernel.py`` (suite programs plus a synthetic
+op-soup loop that reaches the floating-point families) and the
+``emulator-kernel-vs-ref`` invariant in :mod:`repro.check`.  The one
+deliberate divergence is on the *raising* path: when an op faults
+mid-MultiOp (division by zero, bad address), earlier ops of a
+hazard-free group have already written their results where the
+reference would have discarded the whole group's buffered writes.  An :class:`EmulationError` aborts the run
 before any ``RunResult`` exists, so no observable output differs.
 """
 

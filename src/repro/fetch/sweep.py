@@ -63,11 +63,11 @@ families in the stock Table 1 (checked per call, not assumed).
 Every per-config result is **bit-identical** to
 :func:`~repro.fetch.engine.simulate_fetch_reference` — enforced by the
 ``sweep`` check scope, ``tests/test_kernel_differential.py``,
-``tests/test_fetch_sweep.py``, and the ``repro bench`` differential
-families.  A configuration the factored engine cannot model (a
-subclassed penalty table, an unknown predictor, unequal penalty slopes)
-falls back to the reference for that configuration only; it never
-poisons the rest of the batch.
+``tests/test_fetch_sweep.py``, ``tests/test_adaptive.py`` and
+``benchmarks/test_sweep_speed.py``.  A configuration the factored
+engine cannot model (a subclassed penalty table, an unknown predictor,
+unequal penalty slopes) falls back to the reference for that
+configuration only; it never poisons the rest of the batch.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Shared low-level utilities: bit streams, tables, statistics."""
 
-from repro.utils.bitstream import BitReader, BitWriter, ReferenceBitWriter
+from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.stats import (
     geometric_mean,
     mean,
@@ -14,7 +14,6 @@ from repro.utils.tables import format_table
 __all__ = [
     "BitReader",
     "BitWriter",
-    "ReferenceBitWriter",
     "format_table",
     "geometric_mean",
     "mean",

@@ -12,11 +12,9 @@ instruction formats are drawn in the paper's Table 2 (bit 0 is the leftmost
 
 ``BitWriter`` packs into a ``bytearray`` behind a small spill register, so a
 stream of n bits costs O(n) total.  The original big-int accumulator — O(n²)
-in stream bits because every ``to_int`` re-shifts the whole prefix — is
-retained as :class:`ReferenceBitWriter`; the differential tests prove the two
-produce byte-identical streams, and ``repro bench bitstream_roundtrip``
-measures the gap.  Production code packs with :class:`BitWriter`; the
-reference is an oracle for tests and benches only.
+in stream bits because every ``to_int`` re-shifts the whole prefix — survives
+only as the test oracle ``tests/oracles.py``; the differential tests prove the
+two produce byte-identical streams.
 """
 
 from __future__ import annotations
@@ -102,85 +100,6 @@ class BitWriter:
         if self._nbits:
             out += format(self._acc, f"0{self._nbits}b")
         return out
-
-
-class ReferenceBitWriter:
-    """The original chunk-list writer (retained as the reference path).
-
-    ``to_int`` left-shifts a growing big integer once per chunk, which is
-    O(n²) in total stream bits — exactly the behavior the kernelized
-    :class:`BitWriter` replaces.  Kept so the differential tests and the
-    benchmark harness always have the known-good baseline to compare
-    against.
-    """
-
-    __slots__ = ("_chunks", "_bit_length")
-
-    def __init__(self) -> None:
-        self._chunks: list[tuple[int, int]] = []
-        self._bit_length = 0
-
-    def __len__(self) -> int:
-        """Number of bits written so far."""
-        return self._bit_length
-
-    @property
-    def bit_length(self) -> int:
-        return self._bit_length
-
-    def write(self, value: int, width: int) -> None:
-        """Append ``width`` bits holding ``value`` (big-endian bit order)."""
-        if width < 0:
-            raise ValueError(f"negative width {width}")
-        if value < 0:
-            raise ValueError(f"negative value {value}; encode sign explicitly")
-        if width == 0:
-            if value:
-                raise ValueError("nonzero value with zero width")
-            return
-        if value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        self._chunks.append((value, width))
-        self._bit_length += width
-
-    def write_bits(self, bits: str) -> None:
-        """Append a string of '0'/'1' characters."""
-        for ch in bits:
-            if ch == "0":
-                self.write(0, 1)
-            elif ch == "1":
-                self.write(1, 1)
-            else:
-                raise ValueError(f"invalid bit character {ch!r}")
-
-    def align_to_byte(self) -> int:
-        """Pad with zero bits to the next byte boundary; return pad count."""
-        pad = (-self._bit_length) % 8
-        if pad:
-            self.write(0, pad)
-        return pad
-
-    def to_int(self) -> int:
-        """Return the stream as a single integer (MSB = first bit written)."""
-        acc = 0
-        for value, width in self._chunks:
-            acc = (acc << width) | value
-        return acc
-
-    def to_bytes(self) -> bytes:
-        """Return the stream as bytes, zero-padded at the end to a byte."""
-        total = self._bit_length
-        acc = self.to_int()
-        pad = (-total) % 8
-        acc <<= pad
-        return acc.to_bytes((total + pad) // 8, "big") if total else b""
-
-    def to_bitstring(self) -> str:
-        """Return the stream as a '0'/'1' string (debugging, tests)."""
-        out = []
-        for value, width in self._chunks:
-            out.append(format(value, f"0{width}b") if width else "")
-        return "".join(out)
 
 
 class BitReader:

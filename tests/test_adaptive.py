@@ -286,8 +286,9 @@ def test_att_entry_grows_by_exactly_the_tag_bit(tiny_image, tiny_trace):
 # ------------------------------------------------- fetch differentials
 @pytest.fixture(scope="module")
 def hybrid_study(compress_study):
-    # Materialize the tagged image once for the differential tests.
+    # Materialize the tagged images once for the differential tests.
     compress_study.compressed("hybrid")
+    compress_study.compressed("hybrid:static")
     return compress_study
 
 
@@ -298,7 +299,7 @@ def test_kernel_matches_reference_on_hybrid(hybrid_study):
     from repro.fetch.engine import simulate_fetch, simulate_fetch_reference
 
     rng = random.Random(8)
-    for scheme in ("hybrid", "hybrid@0.6"):
+    for scheme in ("hybrid", "hybrid@0.6", "hybrid:static"):
         compressed = hybrid_study.compressed(scheme)
         blocks = len(compressed.image)
         trace = [rng.randrange(blocks) for _ in range(1500)]

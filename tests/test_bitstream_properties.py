@@ -1,10 +1,12 @@
 """Hypothesis properties for the kernelized bit packing and decoding.
 
 Random variable-width write sequences must render identically through
-``BitWriter`` and ``ReferenceBitWriter`` and read back exactly; random
-frequency tables must decode identically through the canonical-table
-decoder and the per-length reference walk.  These complement the fixed
-workloads in ``tests/test_kernel_differential.py`` with generated ones.
+``BitWriter`` and the ``ReferenceBitWriter`` oracle and read back
+exactly; random frequency tables must encode identically through both
+writers and decode identically through the canonical-table decoder and
+the per-length ``ReferenceHuffmanDecoder`` walk.  Both oracles live in
+``tests/oracles.py``.  These complement the fixed workloads in
+``tests/test_kernel_differential.py`` with generated ones.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.compression.huffman import HuffmanCode, HuffmanDecoder
-from repro.utils.bitstream import BitReader, BitWriter, ReferenceBitWriter
+from repro.utils.bitstream import BitReader, BitWriter
+from tests.oracles import ReferenceBitWriter, ReferenceHuffmanDecoder
 
 #: (value, width) pairs with value guaranteed to fit the width.
 chunks = st.lists(
@@ -79,18 +82,22 @@ def test_canonical_decoder_matches_reference(frequencies, data):
     symbols = data.draw(
         st.lists(st.sampled_from(sorted(frequencies)), max_size=64)
     )
-    writer = BitWriter()
+    writer, reference_writer = BitWriter(), ReferenceBitWriter()
     for symbol in symbols:
         code.encode_symbol(symbol, writer)
+        code.encode_symbol(symbol, reference_writer)
     payload, bits = writer.to_bytes(), writer.bit_length
+    assert reference_writer.to_bytes() == payload
+    assert reference_writer.bit_length == bits
 
     decoder = HuffmanDecoder(code)
+    reference = ReferenceHuffmanDecoder(code)
     kernel_reader = BitReader(payload, bits)
     reference_reader = BitReader(payload, bits)
     assert [
         decoder.decode_symbol(kernel_reader) for _ in symbols
     ] == symbols
     assert [
-        decoder.decode_symbol_reference(reference_reader) for _ in symbols
+        reference.decode_symbol(reference_reader) for _ in symbols
     ] == symbols
     assert kernel_reader.position == reference_reader.position == bits

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compiler import ModuleBuilder, compile_module
 from repro.emulator import Machine, emulate, run_image
 from repro.emulator.kernel import _compile_mop, plan_for, run_image_kernel
 from repro.emulator.machine import _execute_mop
@@ -82,6 +83,134 @@ def test_runaway_aborts_at_identical_point(budget):
         outcomes.append((str(err.value), machine.state_digest()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == f"program exceeded {budget} dynamic MultiOps"
+
+
+def _fdiv_by_zero_program():
+    mb = ModuleBuilder("fdz")
+    mb.global_array("result", words=1)
+    b = mb.function("main", num_args=0)
+    z = b.iconst(0)
+    fz = b.freg()
+    b.i2f(fz, z)
+    o = b.iconst(1)
+    fo = b.freg()
+    b.i2f(fo, o)
+    d = b.freg()
+    b.fdiv(d, fo, fz)
+    b.halt()
+    b.done()
+    return compile_module(mb.build(), opt=False)
+
+
+def test_fdiv_by_zero_aborts_identically():
+    compiled = _fdiv_by_zero_program()
+    outcomes = []
+    for runner in (run_image, run_image_kernel):
+        machine = Machine()
+        with pytest.raises(EmulationError) as err:
+            runner(compiled.image, compiled.module.globals, machine=machine)
+        outcomes.append(
+            (type(err.value), str(err.value), machine.state_digest())
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == "floating-point division by zero"
+
+
+# ------------------------------------------------------------ op soup
+#: The floating-point opcodes no suite program executes; the op soup is
+#: the only kernel-vs-reference run that reaches them.
+_FP_OPCODES = {
+    Opcode.F2I, Opcode.FABS, Opcode.FADD, Opcode.FDIV, Opcode.FMPY,
+    Opcode.I2F,
+}
+
+
+def _op_soup_program(iterations: int):
+    """A synthetic loop touching every execution path the threaded-code
+    kernel specializes: int/fp/compare/memory ops, predicated moves (via
+    ``select``) and a call/ret pair."""
+    mb = ModuleBuilder("opsoup")
+    mb.global_array("buf", words=64)
+    mb.global_array("result", words=1)
+
+    helper = mb.function("mix", num_args=1)
+    hv = helper.arg(0)
+    out = helper.ireg()
+    helper.xori(out, hv, 0x5A5A)
+    helper.srai(out, out, 3)
+    helper.ret(out)
+    helper.done()
+
+    b = mb.function("main", num_args=0)
+    base = b.ireg()
+    b.la(base, "buf")
+    i = b.ireg()
+    b.li(i, 0)
+    acc = b.ireg()
+    b.li(acc, 1)
+    total = b.iconst(iterations)
+    # Loop 1: integer ALU, memory traffic, a call/ret pair and a
+    # predicated select.  (No FP state may live across the call — FP
+    # spill slots cannot be expressed in the baseline encoding.)
+    b.label("iloop")
+    slot = b.ireg()
+    b.modi(slot, i, 64)
+    b.store_index(base, slot, acc)
+    back = b.ireg()
+    b.load_index(back, base, slot)
+    b.mpyi(acc, acc, 1103515245)
+    b.addi(acc, acc, 12345)
+    b.xor(acc, acc, back)
+    mixed = b.ireg()
+    b.call("mix", [acc], ret=mixed)
+    lo = b.ireg()
+    b.andi(lo, mixed, 0xFF)
+    p = b.preg()
+    b.cmpi_gt(p, lo, 127)
+    picked = b.ireg()
+    b.select(picked, p, lo, acc)
+    b.add(acc, acc, picked)
+    b.addi(i, i, 1)
+    pg = b.preg()
+    b.cmp_lt(pg, i, total)
+    b.br_if(pg, "iloop")
+    # Loop 2: the floating-point families.
+    facc = b.freg()
+    seed = b.iconst(3)
+    b.i2f(facc, seed)
+    cap = b.freg()
+    big = b.iconst(65536)
+    b.i2f(cap, big)
+    b.li(i, 0)
+    b.label("floop")
+    fstep = b.freg()
+    step = b.ireg()
+    b.andi(step, i, 0xFF)
+    b.i2f(fstep, step)
+    b.fadd(facc, facc, fstep)
+    b.fmpy(facc, facc, facc)
+    b.fabs_(facc, facc)
+    b.fdiv(facc, facc, cap)
+    b.addi(i, i, 1)
+    pf = b.preg()
+    b.cmp_lt(pf, i, total)
+    b.br_if(pf, "floop")
+    fout = b.ireg()
+    b.f2i(fout, facc)
+    b.xor(acc, acc, fout)
+    outp = b.ireg()
+    b.la(outp, "result")
+    b.store(outp, acc)
+    b.halt()
+    b.done()
+    return compile_module(mb.build())
+
+
+def test_op_soup_runs_identical():
+    reference, kernel = _both(_op_soup_program(200))
+    assert _FP_OPCODES <= set(reference.opcode_counts)
+    assert kernel.fingerprint() == reference.fingerprint()
+    assert kernel.opcode_counts == reference.opcode_counts
 
 
 # --------------------------------------------------------- dispatcher

@@ -13,6 +13,7 @@ from repro.compression.huffman import (
 )
 from repro.errors import CompressionError
 from repro.utils.bitstream import BitReader, BitWriter
+from tests.oracles import ReferenceHuffmanDecoder
 
 freq_tables = st.dictionaries(
     keys=st.integers(min_value=0, max_value=10_000),
@@ -88,7 +89,7 @@ def test_huffman_within_one_bit_of_entropy(freqs):
 @given(freq_tables, st.lists(st.integers(0, 63), max_size=50))
 def test_huffman_stream_roundtrip(freqs, picks):
     """Encoding a symbol stream and decoding it returns the stream, both
-    through the canonical-table decoder and its dict-walk reference."""
+    through the canonical-table decoder and the dict-walk oracle."""
     code = HuffmanCode.from_frequencies(freqs)
     symbols = sorted(freqs)
     stream = [symbols[p % len(symbols)] for p in picks]
@@ -97,7 +98,8 @@ def test_huffman_stream_roundtrip(freqs, picks):
         code.encode_symbol(s, writer)
     decoder = code.make_decoder()
     assert code.make_decoder() is decoder
-    for decode in (decoder.decode_symbol, decoder.decode_symbol_reference):
+    reference = ReferenceHuffmanDecoder(code)
+    for decode in (decoder.decode_symbol, reference.decode_symbol):
         reader = BitReader.from_writer(writer)
         assert [decode(reader) for _ in stream] == stream
 

@@ -2,9 +2,7 @@
 
 ``simulate_fetch`` runs the columnar engine of ``repro.fetch.sweep``; it
 is an *optimization* of the retained ``simulate_fetch_reference``, and
-every ``FetchMetrics`` field must match exactly.  ``repro bench``
-re-checks the same identity before timing anything; CI runs this module
-as its divergence gate.
+every ``FetchMetrics`` field must match exactly.
 """
 
 from __future__ import annotations
